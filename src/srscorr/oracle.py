@@ -15,15 +15,17 @@ reproducible from this docstring alone, on any platform):
     output: z XOR (z >> 31)
 
 Bounded draws use unbiased rejection: draw a 64-bit z, accept z mod bound
-when z < 2^64 - (2^64 mod bound), else redraw.  ``sample_srs`` performs a
-partial Fisher-Yates shuffle consuming exactly n bounded draws (one per
-selected position); each bounded draw consumes one or more raw outputs.
+when z < 2^64 - (2^64 mod bound), else redraw; the bound runs from 1 to
+2^64.  ``sample_srs`` performs a partial Fisher-Yates shuffle consuming
+exactly n bounded draws (one per selected position); each bounded draw
+consumes one or more raw outputs.
 
 ``monte_carlo_corr`` partitions its trials into chunks of size one: trial t
 runs on a private SplitMix64 stream whose initial state is the (t+1)-th raw
 output of a SplitMix64 seeded with the user seed.  Results are therefore
 independent of batching/worker layout and bit-identical across runs and
-platforms.  The mean is the exactly-rounded sum (``math.fsum``) of the
+platforms.  Its memory is O(k) per lane whatever N is, and it requires
+N < 2^64.  The mean is the exactly-rounded sum (``math.fsum``) of the
 per-trial products divided by the trial count; the reported stderr is the
 Bessel-corrected sample standard deviation divided by sqrt(trials).
 """
@@ -64,6 +66,11 @@ DEFAULT_MC_SEED = 271828
 #: Hard ceiling on C(N, n) for exhaustive enumeration.
 ENUMERATION_BUDGET = 10_000_000
 
+# Monte Carlo batch shape: at most this many lanes, and at most this many
+# tracker cells (lanes x k) per batch, so sampler memory is bounded by k alone.
+_MAX_LANES = 65536
+_TRACKER_BUDGET = 1 << 20
+
 
 def _mix64(z: int) -> int:
     """SplitMix64 output scrambler (the three xor-shift-multiply steps)."""
@@ -86,8 +93,8 @@ class SplitMix64:
 
     def next_below(self, bound: int) -> int:
         """Unbiased uniform draw from {0, ..., bound-1} by rejection."""
-        if bound < 1:
-            raise DomainError(f"next_below requires bound >= 1, got {bound}")
+        if not 1 <= bound <= 1 << 64:
+            raise DomainError(f"next_below requires 1 <= bound <= 2^64, got {bound}")
         threshold = (1 << 64) - ((1 << 64) % bound)
         while True:
             z = self.next_uint64()
@@ -196,65 +203,64 @@ class McEstimate:
 def _intersection_histogram(k: int, N: int, n: int, trials: int, seed: int) -> list[int]:
     """Histogram of |sample ∩ {0..k-1}| over all trials.
 
-    Vectorised lockstep replay of ``sample_srs``: lane t holds the SplitMix64
-    stream seeded with ``trial_stream_seed(seed, t)``, and every lane performs
-    the same partial Fisher-Yates schedule (step i draws a bound N-i), so each
-    lane reproduces the scalar sampler draw for draw.  Lanes that hit the
-    rejection branch of a bounded draw redraw individually via masking.
+    Lockstep replay of ``sample_srs``: lane t holds the SplitMix64 stream
+    seeded with ``trial_stream_seed(seed, t)``, and every lane runs the same
+    partial Fisher-Yates schedule (step i makes one bounded draw below N-i via
+    ``_draw_below``), so each lane reproduces the scalar sampler draw for draw.
+    The permutation itself is never built: a ``k x lanes`` uint64 tracker
+    holds the current positions of labels 0..k-1, and the step-i swap of
+    positions i and j moves a tracked label at i to j and one at j to i.
+    After n steps a trial's count is the number of tracked labels at
+    positions below n.  Memory is O(k) per lane and independent of N; the
+    batch size is a fixed constant, which the reproducibility contract makes
+    invisible in the result.
     """
-    hist = [0] * (k + 1)
-    golden = np.uint64(_GOLDEN)
-    mix1 = np.uint64(_MIX1)
-    mix2 = np.uint64(_MIX2)
-    lanes_cap = max(1, min(65536, 16_000_000 // max(N, 1)))
-    done = 0
-    while done < trials:
+    hist = np.zeros(k + 1, dtype=np.int64)
+    lanes_cap = max(1, min(_MAX_LANES, _TRACKER_BUDGET // max(k, 1)))
+    for done in range(0, trials, lanes_cap):
         lanes = min(lanes_cap, trials - done)
-        t_idx = np.arange(done, done + lanes, dtype=np.uint64)
-        states = (np.uint64(seed & _MASK64) + (t_idx + np.uint64(1)) * golden)
-        states = _mix64_vec(states, mix1, mix2)  # per-trial stream seeds
-
-        def raw(mask=None):
-            nonlocal states
-            if mask is None:
-                states = states + golden
-                z = states
-            else:
-                states[mask] = states[mask] + golden
-                z = states[mask]
-            return _mix64_vec(z, mix1, mix2)
-
-        perm = np.tile(np.arange(N, dtype=np.int32), (lanes, 1))
-        rows = np.arange(lanes)
+        t_idx = np.arange(done + 1, done + lanes + 1, dtype=np.uint64)
+        states = _mix64_vec(np.uint64(seed & _MASK64) + t_idx * np.uint64(_GOLDEN))  # trial_stream_seed
+        pos = np.repeat(np.arange(k, dtype=np.uint64)[:, np.newaxis], lanes, axis=1)
         for i in range(n):
-            bound = N - i
-            threshold_int = (1 << 64) - ((1 << 64) % bound)
-            z = raw()
-            if threshold_int < (1 << 64):  # otherwise every draw is accepted
-                threshold = np.uint64(threshold_int)
-                reject = z >= threshold
-                while np.any(reject):
-                    z_new = raw(reject)
-                    z = z.copy()
-                    z[reject] = z_new
-                    reject = z >= threshold
-            j = np.uint64(i) + z % np.uint64(bound)
-            j = j.astype(np.int64)
-            tmp = perm[rows, j].copy()
-            perm[rows, j] = perm[rows, i]
-            perm[rows, i] = tmp
-        counts = (perm[:, :n] < k).sum(axis=1) if n else np.zeros(lanes, dtype=np.int64)
-        binned = np.bincount(counts, minlength=k + 1)
-        for i, c in enumerate(binned):
-            hist[i] += int(c)
-        done += lanes
-    return hist
+            j = _draw_below(states, N - i)
+            j += np.uint64(i)
+            moved = (pos == i) | (pos == j)
+            # x ^ (i ^ j) maps i to j and j to i: the swap, for the labels it moves
+            np.bitwise_xor(pos, j ^ np.uint64(i), out=pos, where=moved)
+        counts = (pos < n).sum(axis=0)
+        hist += np.bincount(counts, minlength=k + 1)
+    return [int(c) for c in hist]
 
 
-def _mix64_vec(z, mix1, mix2):
-    z = (z ^ (z >> np.uint64(30))) * mix1
-    z = (z ^ (z >> np.uint64(27))) * mix2
-    return z ^ (z >> np.uint64(31))
+def _draw_below(states, bound: int):
+    """One bounded draw per lane, in lockstep: ``SplitMix64.next_below(bound)``
+    for every lane's stream.  Advances ``states`` (a uint64 array) in place,
+    redrawing only the lanes whose output falls in the rejection zone, and
+    returns the accepted draws reduced below ``bound`` (1 <= bound < 2^64)."""
+    golden = np.uint64(_GOLDEN)
+    states += golden
+    z = _mix64_vec(states.copy())
+    threshold = (1 << 64) - ((1 << 64) % bound)
+    if threshold < (1 << 64):  # otherwise every draw is accepted
+        threshold = np.uint64(threshold)
+        reject = z >= threshold
+        while reject.any():
+            states[reject] += golden
+            z[reject] = _mix64_vec(states[reject])
+            reject = z >= threshold
+    z %= np.uint64(bound)
+    return z
+
+
+def _mix64_vec(z):
+    """``_mix64`` applied in place to a uint64 array; returns the array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def monte_carlo_corr(k: int, N: int, n: int, trials: int, seed: int = DEFAULT_MC_SEED) -> McEstimate:
@@ -276,6 +282,8 @@ def monte_carlo_corr(k: int, N: int, n: int, trials: int, seed: int = DEFAULT_MC
         raise DomainError(f"monte_carlo_corr requires 0 <= n <= N, got n={n}, N={N}")
     if not 0 <= k <= N:
         raise DomainError(f"monte_carlo_corr requires 0 <= k <= N, got k={k}, N={N}")
+    if N >= 1 << 64:  # the lockstep sampler holds positions and bounds in uint64
+        raise DomainError(f"monte_carlo_corr requires N < 2^64, got N={N}")
     hist = _intersection_histogram(k, N, n, trials, seed)
     f = n / N
     values = []

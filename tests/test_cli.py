@@ -4,11 +4,13 @@ codes, and the --out byte stream."""
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 from srscorr import cli
 from srscorr.oracle import DEFAULT_MC_SEED, monte_carlo_corr
 from srscorr.ppoly import Poly, p_poly
+from srscorr.report import parse_mc_row
 from srscorr.verify import CheckResult
 
 
@@ -107,6 +109,20 @@ def test_mc_verb_is_reproducible_and_matches_library(capsys):
     assert obj["seed"] == DEFAULT_MC_SEED
 
 
+def test_mc_verb_memory_does_not_grow_with_population(capsys):
+    for N in (2**31 + 5, 10**12):
+        tracemalloc.start()
+        try:
+            code = cli.run(["mc", "--k", "3", "--N", str(N), "--n", "3", "--trials", "2000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        est = parse_mc_row(capsys.readouterr().out)
+        assert (est.k, est.N, est.n, est.trials) == (3, N, 3, 2000)
+        assert peak < 16 * 2**20, (N, peak)
+
+
 def test_verify_verb_passes_on_a_small_cap(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "exactnum", "--max-k", "6")
     assert code == 0
@@ -195,6 +211,13 @@ def test_computation_errors_exit_2(capsys):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_mc_population_beyond_64_bits_exits_2(capsys):
+    code = cli.run(["mc", "--k", "2", "--N", str(2**64), "--n", "3", "--trials", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_console_script_is_installed():

@@ -3,9 +3,14 @@ sampler, exhaustive enumeration, and the Monte Carlo estimator."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from srscorr import oracle
 from srscorr.correlation import corr_exact
 from srscorr.errors import DomainError, EnumerationBoundError
 from srscorr.oracle import (
@@ -55,6 +60,14 @@ def test_next_below_handles_degenerate_and_power_of_two_bounds():
     assert all(0 <= d < 64 for d in draws)
     with pytest.raises(DomainError):
         rng.next_below(0)
+
+
+def test_next_below_accepts_2_64_and_rejects_larger_bounds():
+    # 2^64 takes every raw output as is; a larger bound has no acceptance
+    # zone at all and used to loop forever
+    assert SplitMix64(0).next_below(2**64) == 0xE220A8397B1DCDAF
+    with pytest.raises(DomainError):
+        SplitMix64(0).next_below(2**64 + 1)
 
 
 def test_trial_stream_seeds_are_spread_out():
@@ -225,15 +238,62 @@ def test_monte_carlo_validation():
         monte_carlo_corr(11, 10, 5, trials=10)
 
 
-def test_monte_carlo_agrees_with_scalar_replay():
-    # the vectorised histogram must reproduce a plain per-trial replay of
-    # sample_srs on the same substreams
-    k, N, n, trials, seed = 3, 17, 7, 2000, 99
+def test_monte_carlo_population_must_fit_in_64_bits():
+    est = monte_carlo_corr(2, 2**64 - 1, 3, trials=50, seed=1)
+    assert est.N == 2**64 - 1 and est.trials == 50
+    with pytest.raises(DomainError):
+        monte_carlo_corr(2, 2**64, 3, trials=50)
+
+
+def test_lockstep_draw_redraws_like_next_below():
+    # At bound 2^63 + 1 the acceptance threshold is 2^63 + 1 itself, so about
+    # half of all raw outputs fall in the rejection zone and get redrawn.
+    class Counting(SplitMix64):
+        raw = 0
+
+        def next_uint64(self):
+            type(self).raw += 1
+            return super().next_uint64()
+
+    bound, lanes, steps = 2**63 + 1, 64, 8
+    seeds = [trial_stream_seed(5, t) for t in range(lanes)]
+    rngs = [Counting(s) for s in seeds]
+    states = np.array(seeds, dtype=np.uint64)
+    for _ in range(steps):
+        draws = oracle._draw_below(states, bound)
+        assert draws.tolist() == [rng.next_below(bound) for rng in rngs]
+    assert states.tolist() == [rng.state for rng in rngs]
+    assert Counting.raw > lanes * steps
+
+
+@st.composite
+def _mc_designs(draw):
+    N = draw(st.integers(1, 40))
+    n = draw(st.integers(0, N))
+    k = draw(st.integers(0, N))
+    trials = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**64 - 1))
+    max_lanes = draw(st.sampled_from([1, 7, 64, oracle._MAX_LANES]))
+    return k, N, n, trials, seed, max_lanes
+
+
+@given(_mc_designs())
+@example((0, 5, 3, 10, 1, 64))  # k = 0
+@example((7, 7, 4, 50, 2, 7))  # k = N
+@example((3, 9, 0, 20, 3, 1))  # n = 0
+@example((3, 9, 9, 20, 4, 7))  # n = N
+@example((40, 40, 20, 300, 5, oracle._MAX_LANES))  # the largest order drawn
+def test_monte_carlo_agrees_with_scalar_replay(design):
+    # the lockstep histogram must reproduce a plain per-trial replay of
+    # sample_srs on the same substreams, for any batch size
+    k, N, n, trials, seed, max_lanes = design
     hist = [0] * (k + 1)
     for t in range(trials):
         rng = SplitMix64(trial_stream_seed(seed, t))
         members = sample_srs(N, n, rng).members
         hist[sum(1 for a in members if a < k)] += 1
+    with mock.patch.object(oracle, "_MAX_LANES", max_lanes):
+        assert oracle._intersection_histogram(k, N, n, trials, seed) == hist
     f = n / N
     values = []
     for i in range(k + 1):
@@ -246,3 +306,18 @@ def test_monte_carlo_agrees_with_scalar_replay():
     mean = math.fsum(hist[i] * values[i] for i in range(k + 1)) / trials
     est = monte_carlo_corr(k, N, n, trials=trials, seed=seed)
     assert est.mean == mean
+
+
+@pytest.mark.parametrize(
+    "design, mean, stderr",
+    [
+        ((2, 10, 5, 20000, 271828), "-0x1.a858793dd97f6p-6", "0x1.cced6c7db60edp-10"),
+        ((5, 230, 15, 65536, 3501332431411006491), "0x1.e1eadf156bf28p-21", "0x1.51255cfb25a80p-20"),
+        ((3, 90000, 1000, 180, 84900575075500574), "0x1.70396672a04e4p-19", "0x1.bca33341f16e6p-20"),
+        ((8, 100, 37, 4096, 1), "-0x1.6ac8f4e85661fp-16", "0x1.7ba1300fc5272p-15"),
+    ],
+)
+def test_monte_carlo_pinned_outputs(design, mean, stderr):
+    # outputs of the dense-permutation sampler this one replaced, to the bit
+    est = monte_carlo_corr(*design)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
