@@ -3,6 +3,8 @@ sampling, their polynomial coefficient expansions, and the scaled
 large-population limits — cross-validated by enumeration and Monte Carlo.
 """
 
+from types import ModuleType as _ModuleType
+
 from .correlation import (
     AlphaTable,
     CorrRecord,
@@ -44,6 +46,7 @@ from .oracle import (
 )
 from .ppoly import (
     Poly,
+    PolyRecord,
     elementary_sum_oracle,
     falling_factorial_via_p0,
     p0_eval,
@@ -55,50 +58,7 @@ from .verify import CheckResult, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaTable",
-    "CheckResult",
-    "CorrRecord",
-    "DEFAULT_MC_SEED",
-    "DomainError",
-    "EnumerationBoundError",
-    "HalfInteger",
-    "LimitSpec",
-    "McEstimate",
-    "Poly",
-    "Rational",
-    "SampleSubset",
-    "SplitMix64",
-    "SrsCorrError",
-    "alpha_coefficients",
-    "alternating_fraction_sum",
-    "bernoulli",
-    "binomial",
-    "brute_force_corr",
-    "coefficient_limit",
-    "convergence_scan",
-    "corr_exact",
-    "decimal_str",
-    "elementary_sum_oracle",
-    "emit_report",
-    "evaluate_correlation",
-    "falling_factorial",
-    "falling_factorial_via_p0",
-    "gamma_ratio",
-    "hypergeom_inclusion_prob",
-    "limit_spec",
-    "monte_carlo_corr",
-    "normal_moment",
-    "p0_eval",
-    "p_poly",
-    "parity_exponent",
-    "parse_rational",
-    "rational_str",
-    "run_suite",
-    "sample_srs",
-    "stirling_first_unsigned",
-    "stirling_second",
-    "sum_of_powers",
-    "theorem_limit",
-    "weighted_prefix_poly",
-]
+# The public API is exactly the names imported above.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -25,22 +25,18 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import asdict
 from fractions import Fraction
 from math import floor
 
-from .correlation import convergence_scan, evaluate_correlation, limit_spec
-from .errors import DomainError, SrsCorrError
+from .correlation import CorrRecord, LimitSpec, convergence_scan, evaluate_correlation, limit_spec
+from .errors import SrsCorrError
 from .exactnum import parse_rational
-from .oracle import DEFAULT_MC_SEED, monte_carlo_corr
-from .ppoly import p_poly
-from .report import CORR_COLUMNS, LIMIT_COLUMNS, MC_COLUMNS, emit_report
-from .verify import SUITE_NAMES, run_suite
+from .oracle import DEFAULT_MC_SEED, McEstimate, monte_carlo_corr
+from .ppoly import PolyRecord, p_poly
+from .report import columns_of, emit_report
+from .verify import SUITE_NAMES, CheckResult, run_suite
 
 __all__ = ["run", "main", "build_parser"]
-
-_PPOLY_COLUMNS = ("k", "m", "degree", "coefficients")
-_VERIFY_COLUMNS = ("suite", "identity", "params", "passed", "detail")
 
 
 class _UsageError(Exception):
@@ -128,31 +124,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _dispatch(ns) -> tuple[list, tuple, int]:
-    """Execute the parsed verb: returns (rows, csv columns, failure count)."""
-    if ns.verb == "corr":
-        return [evaluate_correlation(ns.k, ns.N, ns.n)], CORR_COLUMNS, 0
-    if ns.verb == "limit":
-        return [limit_spec(ns.k, ns.f)], LIMIT_COLUMNS, 0
-    if ns.verb == "scan":
-        grid = ns.grid if ns.grid is not None else ns.grid_geom
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            records = convergence_scan(ns.k, ns.f, grid)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return records, CORR_COLUMNS, 0
-    if ns.verb == "mc":
-        return [monte_carlo_corr(ns.k, ns.N, ns.n, ns.trials, ns.seed)], MC_COLUMNS, 0
-    if ns.verb == "ppoly":
-        poly = p_poly(ns.k, ns.m)
-        row = {"k": ns.k, "m": ns.m, "degree": poly.degree, "coefficients": poly.coeff_strings()}
-        return [row], _PPOLY_COLUMNS, 0
-    if ns.verb == "verify":
-        results = run_suite(ns.suite, ns.max_k)
-        failures = sum(1 for res in results if not res.passed)
-        return [asdict(res) for res in results], _VERIFY_COLUMNS, failures
-    raise DomainError(f"unknown verb {ns.verb!r}")  # unreachable behind argparse
+def _scan(ns) -> list[CorrRecord]:
+    grid = ns.grid if ns.grid is not None else ns.grid_geom
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = convergence_scan(ns.k, ns.f, grid)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return records
+
+
+def _ppoly(ns) -> list[PolyRecord]:
+    poly = p_poly(ns.k, ns.m)
+    return [PolyRecord(k=ns.k, m=ns.m, degree=poly.degree, coefficients=poly.coeffs)]
+
+
+# verb -> (record kind, rows for the parsed arguments).  The computations are
+# looked up by module-level name at call time, so patching one takes effect.
+_VERBS = {
+    "corr": (CorrRecord, lambda ns: [evaluate_correlation(ns.k, ns.N, ns.n)]),
+    "limit": (LimitSpec, lambda ns: [limit_spec(ns.k, ns.f)]),
+    "scan": (CorrRecord, _scan),
+    "mc": (McEstimate, lambda ns: [monte_carlo_corr(ns.k, ns.N, ns.n, ns.trials, ns.seed)]),
+    "ppoly": (PolyRecord, _ppoly),
+    "verify": (CheckResult, lambda ns: run_suite(ns.suite, ns.max_k)),
+}
 
 
 def run(argv) -> int:
@@ -166,9 +162,10 @@ def run(argv) -> int:
         return 1
     except SystemExit as exc:  # argparse --help prints and exits 0
         return 0 if exc.code in (0, None) else 1
+    kind, compute = _VERBS[ns.verb]
     try:
-        rows, columns, failures = _dispatch(ns)
-        text = emit_report(rows, ns.format, ns.precision, columns=columns)
+        rows = compute(ns)
+        text = emit_report(rows, ns.format, ns.precision, columns=columns_of(kind))
     except SrsCorrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -176,7 +173,7 @@ def run(argv) -> int:
     if ns.out:
         with open(ns.out, "wb") as sink:
             sink.write(text.encode("utf-8"))
-    return 3 if failures else 0
+    return 3 if kind is CheckResult and not all(row.passed for row in rows) else 0
 
 
 def main() -> None:

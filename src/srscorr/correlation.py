@@ -245,7 +245,11 @@ class CorrRecord:
     corr: Fraction
     scaled: Fraction  # N^e(k) * corr
     limit: Fraction
-    abs_error: Fraction  # |scaled - limit|
+
+    @property
+    def abs_error(self) -> Fraction:
+        """|scaled - limit|"""
+        return abs(self.scaled - self.limit)
 
 
 def evaluate_correlation(k: int, N: int, n: int, limit_f: Fraction | None = None) -> CorrRecord:
@@ -260,16 +264,7 @@ def evaluate_correlation(k: int, N: int, n: int, limit_f: Fraction | None = None
     scaled = Fraction(N) ** parity_exponent(k) * corr
     f_realized = Fraction(n, N)
     limit = theorem_limit(k, f_realized if limit_f is None else limit_f)
-    return CorrRecord(
-        k=k,
-        N=N,
-        n=n,
-        f=f_realized,
-        corr=corr,
-        scaled=scaled,
-        limit=limit,
-        abs_error=abs(scaled - limit),
-    )
+    return CorrRecord(k=k, N=N, n=n, f=f_realized, corr=corr, scaled=scaled, limit=limit)
 
 
 def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -39,6 +40,7 @@ __all__ = [
     "unit_step",
     "parse_rational",
     "rational_str",
+    "int_str",
 ]
 
 # The package-wide exact scalar type.  ``fractions.Fraction`` already keeps
@@ -50,7 +52,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical rational literal ``p/q`` or ``p``.
+    """Parse the canonical rational literal ``p/q`` or ``p``, of any length.
 
     Only integer and slash forms are accepted; decimal strings such as
     ``"0.3"`` are rejected so that callers can never smuggle a float
@@ -58,13 +60,27 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise DomainError(f"malformed rational literal: {text!r} (expected 'p/q' or integer)")
-    return Fraction(text.strip())
+    num, _, den = text.strip().partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))  # no digit limit; see int_str
 
 
 def rational_str(value: Fraction | int) -> str:
     """Canonical string form of an exact rational: ``p/q`` in lowest terms
     with positive denominator, or plain ``p`` when the denominator is 1."""
-    return str(Fraction(value))
+    q = Fraction(value)
+    num = int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
+
+
+def int_str(value: int) -> str:
+    """Decimal digits of an int of any length.  ``str(int)`` and ``int(str)``
+    refuse more digits than the interpreter's process-wide limit (4300 by
+    default), which this package leaves unchanged; ``Decimal`` converts
+    exactly at any length, both ways, but renders more slowly below it."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 class HalfInteger:

@@ -125,15 +125,18 @@ def sample_srs(N: int, n: int, rng: SplitMix64) -> SampleSubset:
 
     Position i (0-based, i < n) swaps with a uniform position in [i, N);
     the sample is the first n slots of the permutation.  Consumes exactly n
-    bounded draws from ``rng``.
+    bounded draws from ``rng``.  Only displaced slots of the permutation are
+    stored, so memory is O(n) whatever N is.
     """
     if N < 0 or not 0 <= n <= N:
         raise DomainError(f"sample_srs requires 0 <= n <= N, got n={n}, N={N}")
-    perm = list(range(N))
+    moved: dict[int, int] = {}  # position -> the label now there, where not its own
+    members = []
     for i in range(n):
         j = i + rng.next_below(N - i)
-        perm[i], perm[j] = perm[j], perm[i]
-    return SampleSubset(N=N, n=n, members=tuple(sorted(perm[:n])))
+        members.append(moved.get(j, j))
+        moved[j] = moved.pop(i, i)  # slot i is final; no later step reads it
+    return SampleSubset(N=N, n=n, members=tuple(sorted(members)))
 
 
 def hypergeom_inclusion_prob(k: int, N: int, n: int) -> Fraction:

@@ -31,14 +31,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .errors import DomainError
-from .exactnum import power_sum_coefficients
+from .exactnum import parse_rational, power_sum_coefficients, rational_str
 
 __all__ = [
     "Poly",
+    "PolyRecord",
     "PKey",
     "weighted_prefix_poly",
     "p_poly",
@@ -151,11 +153,11 @@ class Poly:
 
     def coeff_strings(self) -> list[str]:
         """Canonical serialization: list of 'p/q' strings, lowest degree first."""
-        return [str(c) for c in self.coeffs]
+        return [rational_str(c) for c in self.coeffs]
 
     @classmethod
     def from_strings(cls, items) -> "Poly":
-        return cls([Fraction(s) for s in items])
+        return cls([parse_rational(s) for s in items])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -243,6 +245,17 @@ def p_poly(k: int, m: int) -> Poly:
         poly = Poly([head]) - s
     _P_CACHE[key] = poly
     return poly
+
+
+@dataclass(frozen=True)
+class PolyRecord:
+    """One ``ppoly`` result: P[k, m], its degree and its coefficients
+    (lowest degree first)."""
+
+    k: int
+    m: int
+    degree: int
+    coefficients: tuple[Fraction, ...]
 
 
 _P0_CACHE: dict[tuple[int, int, int], int] = {}

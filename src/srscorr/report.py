@@ -1,9 +1,12 @@
 """Serialization of result rows: JSON lines and RFC-4180 CSV.
 
-Exact rationals are rendered canonically as ``p/q`` (lowest terms, positive
-denominator) or bare ``p`` for integers, so parsing them back loses nothing.
-Decimal columns are rendered by exact integer arithmetic with half-to-even
-rounding at a configurable number of digits — the float never enters.
+Each record kind has one field spec in ``SCHEMAS``, and its columns, emitted
+rows and parsed records are all derived from it.  Exact rationals are
+rendered canonically as ``p/q`` (lowest terms, positive denominator) or bare
+``p`` for integers, at any length, so parsing them back loses nothing.
+Decimal columns are display-only: rendered by exact integer arithmetic with
+half-to-even rounding at a configurable number of digits (the float never
+enters), and never parsed.
 """
 
 from __future__ import annotations
@@ -12,26 +15,28 @@ import csv
 import io
 import json
 from fractions import Fraction
+from functools import partial
 
 from .correlation import CorrRecord, LimitSpec
 from .errors import DomainError
-from .exactnum import parse_rational, rational_str
+from .exactnum import int_str, parse_rational, rational_str
 from .oracle import McEstimate
+from .ppoly import PolyRecord
+from .verify import CheckResult
 
 __all__ = [
     "decimal_str",
     "row_to_obj",
     "emit_report",
+    "parse_row",
     "parse_corr_row",
     "parse_mc_row",
+    "columns_of",
+    "SCHEMAS",
     "CORR_COLUMNS",
     "LIMIT_COLUMNS",
     "MC_COLUMNS",
 ]
-
-CORR_COLUMNS = ("k", "N", "n", "f", "corr", "scaled", "scaled_decimal", "limit", "abs_error_decimal")
-LIMIT_COLUMNS = ("k", "f", "value", "value_decimal", "exponent")
-MC_COLUMNS = ("k", "N", "n", "trials", "seed", "mean", "stderr")
 
 
 def decimal_str(value: Fraction | int, digits: int) -> str:
@@ -49,44 +54,87 @@ def decimal_str(value: Fraction | int, digits: int) -> str:
         q += 1
     whole, frac = divmod(q, 10**digits)
     sign = "-" if negative and q != 0 else ""
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{int_str(whole)}.{int_str(frac).rjust(digits, '0')}"
+
+
+def _same(value, precision):
+    return value
+
+
+def _parse_bool(cell) -> bool:
+    return cell if isinstance(cell, bool) else {"true": True, "false": False}[cell]
+
+
+def _parse_rationals(cell) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(item) for item in (json.loads(cell) if isinstance(cell, str) else cell))
+
+
+# A codec is (emit, parse): emit(value, precision) gives a JSON-safe value;
+# parse reads it back, as JSON decodes it or as a CSV cell, and is None for
+# a display-only column.
+INT = (_same, int)
+RATIONAL = (lambda value, precision: rational_str(value), parse_rational)
+DECIMAL = (decimal_str, None)
+FLOAT = (_same, float)
+BOOL = (_same, _parse_bool)
+TEXT = (_same, str)
+RATIONALS = (lambda values, precision: [rational_str(v) for v in values], _parse_rationals)
+
+
+def _fields(codec, names: str) -> tuple:
+    """(column, attribute, codec) for columns named after the attribute they read."""
+    return tuple((name, name, codec) for name in names.split())
+
+
+def _decimal(attr: str) -> tuple:
+    """The display-only ``<attr>_decimal`` column."""
+    return ((f"{attr}_decimal", attr, DECIMAL),)
+
+
+# One field spec per record kind, in column order.
+SCHEMAS: dict[type, tuple] = {
+    CorrRecord: (
+        _fields(INT, "k N n") + _fields(RATIONAL, "f corr scaled") + _decimal("scaled")
+        + _fields(RATIONAL, "limit") + _decimal("abs_error")
+    ),
+    LimitSpec: _fields(INT, "k") + _fields(RATIONAL, "f value") + _decimal("value") + _fields(INT, "exponent"),
+    McEstimate: _fields(INT, "k N n trials seed") + _fields(FLOAT, "mean stderr"),
+    PolyRecord: _fields(INT, "k m degree") + _fields(RATIONALS, "coefficients"),
+    CheckResult: _fields(TEXT, "suite identity params") + _fields(BOOL, "passed") + _fields(TEXT, "detail"),
+}
+
+
+def columns_of(kind: type) -> tuple[str, ...]:
+    """Column names of a record kind, in output order."""
+    return tuple(name for name, _, _ in SCHEMAS[kind])
+
+
+CORR_COLUMNS = columns_of(CorrRecord)
+LIMIT_COLUMNS = columns_of(LimitSpec)
+MC_COLUMNS = columns_of(McEstimate)
 
 
 def row_to_obj(row, precision: int) -> dict:
-    """Flatten a result row into an ordered plain dict of JSON-safe values."""
-    if isinstance(row, CorrRecord):
-        return {
-            "k": row.k,
-            "N": row.N,
-            "n": row.n,
-            "f": rational_str(row.f),
-            "corr": rational_str(row.corr),
-            "scaled": rational_str(row.scaled),
-            "scaled_decimal": decimal_str(row.scaled, precision),
-            "limit": rational_str(row.limit),
-            "abs_error_decimal": decimal_str(row.abs_error, precision),
-        }
-    if isinstance(row, LimitSpec):
-        return {
-            "k": row.k,
-            "f": rational_str(row.f),
-            "value": rational_str(row.value),
-            "value_decimal": decimal_str(row.value, precision),
-            "exponent": row.exponent,
-        }
-    if isinstance(row, McEstimate):
-        return {
-            "k": row.k,
-            "N": row.N,
-            "n": row.n,
-            "trials": row.trials,
-            "seed": row.seed,
-            "mean": row.mean,
-            "stderr": row.stderr,
-        }
+    """Flatten a record into an ordered plain dict of JSON-safe values; a
+    plain dict row is passed through as it is."""
     if isinstance(row, dict):
         return dict(row)
-    raise DomainError(f"cannot serialize row of type {type(row).__name__}")
+    schema = SCHEMAS.get(type(row))
+    if schema is None:
+        raise DomainError(f"cannot serialize row of type {type(row).__name__}")
+    return {name: emit(getattr(row, attr), precision) for name, attr, (emit, _) in schema}
+
+
+def parse_row(kind: type, line_or_obj):
+    """Rebuild a record of type ``kind`` from one emitted JSON line or a
+    parsed CSV row dict.  Every column but the display-only decimals is read
+    back exactly."""
+    obj = json.loads(line_or_obj) if isinstance(line_or_obj, str) else line_or_obj
+    return kind(**{attr: parse(obj[name]) for name, attr, (_, parse) in SCHEMAS[kind] if parse})
+
+
+parse_corr_row = partial(parse_row, CorrRecord)
+parse_mc_row = partial(parse_row, McEstimate)
 
 
 def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
@@ -110,11 +158,13 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
         return "".join(json.dumps(obj) + "\n" for obj in objs)
     if not keys:
         return ""
+    cells = [[_csv_cell(obj[key]) for key in keys] for obj in objs]
+    # minimal quoting leaves a lone carriage return bare, and readers split lines there
+    bare_cr = any("\r" in cell for row in cells for cell in row)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL if bare_cr else csv.QUOTE_MINIMAL)
     writer.writerow(keys)
-    for obj in objs:
-        writer.writerow([_csv_cell(obj[key]) for key in keys])
+    writer.writerows(cells)
     return buf.getvalue()
 
 
@@ -126,41 +176,3 @@ def _csv_cell(value) -> str:
     if isinstance(value, (list, tuple)):
         return json.dumps(value)
     return str(value)
-
-
-def _parse_corr_obj(obj: dict) -> CorrRecord:
-    scaled = parse_rational(str(obj["scaled"]))
-    limit = parse_rational(str(obj["limit"]))
-    return CorrRecord(
-        k=int(obj["k"]),
-        N=int(obj["N"]),
-        n=int(obj["n"]),
-        f=parse_rational(str(obj["f"])),
-        corr=parse_rational(str(obj["corr"])),
-        scaled=scaled,
-        limit=limit,
-        abs_error=abs(scaled - limit),
-    )
-
-
-def parse_corr_row(line_or_obj) -> CorrRecord:
-    """Rebuild a :class:`CorrRecord` from one emitted JSON line or a parsed
-    CSV row dict.  Rational fields round-trip exactly; the decimal columns
-    are display-only and are recomputed from the rationals."""
-    if isinstance(line_or_obj, str):
-        return _parse_corr_obj(json.loads(line_or_obj))
-    return _parse_corr_obj(dict(line_or_obj))
-
-
-def parse_mc_row(line_or_obj) -> McEstimate:
-    """Rebuild a :class:`McEstimate` from an emitted JSON line or CSV dict."""
-    obj = json.loads(line_or_obj) if isinstance(line_or_obj, str) else dict(line_or_obj)
-    return McEstimate(
-        k=int(obj["k"]),
-        N=int(obj["N"]),
-        n=int(obj["n"]),
-        trials=int(obj["trials"]),
-        seed=int(obj["seed"]),
-        mean=float(obj["mean"]),
-        stderr=float(obj["stderr"]),
-    )

@@ -1,16 +1,22 @@
 """End-to-end tests of the command line: verbs, output formats, exit
 codes, and the --out byte stream."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
+
 from srscorr import cli
+from srscorr.correlation import LimitSpec, evaluate_correlation, limit_spec
 from srscorr.oracle import DEFAULT_MC_SEED, monte_carlo_corr
 from srscorr.ppoly import Poly, p_poly
-from srscorr.report import parse_mc_row
+from srscorr.report import parse_corr_row, parse_mc_row, parse_row
 from srscorr.verify import CheckResult
 
 
@@ -164,6 +170,46 @@ def test_csv_out_is_rfc4180_parseable(tmp_path, capsys):
     rows = list(csvmod.reader(io.StringIO(target.read_text())))
     assert rows[0] == ["suite", "identity", "params", "passed", "detail"]
     assert all(row[3] == "true" for row in rows[1:])
+
+
+def _int_max_str_digits():
+    # the process-wide limit exists from Python 3.11 (and 3.10.7) on
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_limit_past_the_int_to_str_digit_limit_is_exact(capsys):
+    before = _int_max_str_digits()
+    for format in ("json", "csv"):
+        code, out, err = run_cli(capsys, "limit", "--k", "10000", "--f", "1/3", "--format", format)
+        assert code == 0 and err == ""
+        rows = [json.loads(out)] if format == "json" else list(csv.DictReader(io.StringIO(out)))
+        assert [parse_row(LimitSpec, row) for row in rows] == [limit_spec(10000, Fraction(1, 3))]
+        assert len(rows[0]["value"]) > 4300
+    assert _int_max_str_digits() == before
+
+
+def test_precision_past_the_int_to_str_digit_limit_is_exact(capsys):
+    before = _int_max_str_digits()
+    code, out, err = run_cli(capsys, "corr", "--k", "2", "--N", "10", "--n", "5", "--precision", "5000")
+    assert code == 0 and err == ""
+    assert parse_corr_row(out) == evaluate_correlation(2, 10, 5)
+    obj = json.loads(out)
+    for column, value in (("scaled_decimal", Fraction(-5, 18)), ("abs_error_decimal", Fraction(1, 36))):
+        whole, frac = obj[column].split(".")
+        assert len(frac) == 5000
+        # round() of a Fraction rounds half to even in exact integer arithmetic
+        assert int(Decimal(whole + frac)) == round(value * 10**5000)
+    assert _int_max_str_digits() == before
+
+
+def test_large_output_exits_zero_without_a_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "srscorr", "limit", "--k", "10000", "--f", "1/3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert parse_row(LimitSpec, proc.stdout) == limit_spec(10000, Fraction(1, 3))
 
 
 def test_help_exits_zero(capsys):

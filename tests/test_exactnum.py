@@ -3,6 +3,7 @@ numbers, Bernoulli numbers, Faulhaber power sums, Gaussian moments, and the
 exact Gamma-ratio / alternating-sum closed forms."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from srscorr.exactnum import (
     double_factorial_odd,
     falling_factorial,
     gamma_ratio,
+    int_str,
     normal_moment,
     parse_rational,
     power_sum_coefficients,
@@ -55,6 +57,18 @@ def test_rational_str_is_canonical_and_round_trips():
         for den in range(1, 8):
             q = Fraction(num, den)
             assert parse_rational(rational_str(q)) == q
+
+
+def test_rational_text_has_no_digit_limit():
+    # 7^6000 has 5071 digits, past the interpreter's 4300-digit int-to-str limit
+    q = Fraction(-(7**6000), 3**5000)
+    text = rational_str(q)
+    num, den = text.split("/")
+    assert int(Decimal(num)) == q.numerator and int(Decimal(den)) == q.denominator
+    assert parse_rational(text) == q
+    assert parse_rational("+" + text[1:]) == -q
+    assert int_str(10**5000) == "1" + "0" * 5000
+    assert int_str(-(10**5000)) == "-1" + "0" * 5000
 
 
 def test_half_integer_lattice():

@@ -2,6 +2,7 @@
 sampler, exhaustive enumeration, and the Monte Carlo estimator."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -118,6 +119,34 @@ def test_sample_srs_is_roughly_uniform_over_subsets():
     assert len(counts) == 10
     for c in counts.values():
         assert abs(c - 400) < 95
+
+
+def _dense_fisher_yates(N, n, rng):
+    perm = list(range(N))
+    for i in range(n):
+        j = i + rng.next_below(N - i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(sorted(perm[:n]))
+
+
+@given(st.integers(0, 30).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N))), st.integers(0, 2**64 - 1))
+def test_sample_srs_matches_a_dense_permutation(design, seed):
+    # storing only the displaced slots must not change a single draw or member
+    N, n = design
+    rng, reference = SplitMix64(seed), SplitMix64(seed)
+    assert sample_srs(N, n, rng).members == _dense_fisher_yates(N, n, reference)
+    assert rng.state == reference.state
+
+
+def test_sample_srs_memory_does_not_grow_with_population():
+    tracemalloc.start()
+    try:
+        members = sample_srs(10**12, 3, SplitMix64(5)).members
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(members)) == 3 and all(0 <= a < 10**12 for a in members)
+    assert peak < 64 * 2**10, peak
 
 
 def test_sample_srs_domain_errors():
@@ -283,6 +312,8 @@ def _mc_designs(draw):
 @example((3, 9, 0, 20, 3, 1))  # n = 0
 @example((3, 9, 9, 20, 4, 7))  # n = N
 @example((40, 40, 20, 300, 5, oracle._MAX_LANES))  # the largest order drawn
+@example((3, 2**31 + 5, 5, 30, 6, 7))  # positions past 32 bits
+@example((3, 10**12, 5, 30, 7, oracle._MAX_LANES))  # a population no dense permutation fits
 def test_monte_carlo_agrees_with_scalar_replay(design):
     # the lockstep histogram must reproduce a plain per-trial replay of
     # sample_srs on the same substreams, for any batch size

@@ -1,0 +1,57 @@
+"""Byte-identity guard: the exact stdout and ``--out`` bytes of every verb,
+pinned by digest.  Uses only ``srscorr.cli.run``, so it runs unchanged
+against any revision of the package."""
+
+import hashlib
+
+import pytest
+
+from srscorr import cli
+
+# sha256 of the stdout (and of the ``--out`` file) of a fixed argv matrix.  A
+# change to any emitted byte fails here, and has to be explained.
+_PINNED_OUTPUTS = [
+    ("corr --k 5 --N 40 --n 13 --format json --precision 12", "2a2751f12ff97228cdaf05ef88da42b741fbd460a5abcba5828413e5c2ea1629"),
+    ("corr --k 5 --N 40 --n 13 --format json --precision 30", "49f42fc720fc062d6dc78d70c1b0caf02e616e56b9b5787cce8b55e8b8642b03"),
+    ("corr --k 5 --N 40 --n 13 --format json --precision 80", "286ce68cce2ee30ce1204ae52df79083a84b5710914d69f0d11b5957aaf44846"),
+    ("corr --k 5 --N 40 --n 13 --format csv --precision 12", "62b17cdc2409da22e8ae37a75cc6df96735a4c4d1daa6cba7326194f209d89e7"),
+    ("corr --k 5 --N 40 --n 13 --format csv --precision 30", "9cc867410b711ba63dfeb95f4f309e37919d146bc4b25c5c65f9936c4b1d65c0"),
+    ("corr --k 5 --N 40 --n 13 --format csv --precision 80", "7a5bab9b68c2f89c5cfa8c0ba87d6dbb8fa3304844206c0836ea646eb8596203"),
+    ("limit --k 7 --f 2/7 --format json --precision 12", "4b6330e85285cc91fa431ae0af66be51753ffaeef670e1a8d052b594b7feb7a7"),
+    ("limit --k 7 --f 2/7 --format json --precision 30", "3ed0adefcaea35e38c1988877313cf26a6c920bf79ce6e6209bc69879ca939cf"),
+    ("limit --k 7 --f 2/7 --format json --precision 80", "5afeb769b5949dc496393b9fdc48d565364ae68c1bc92b649182c91541520a88"),
+    ("limit --k 7 --f 2/7 --format csv --precision 12", "4482e82565e43af335495aa4e256e617681eeaa6557698f5c925c6476415361b"),
+    ("limit --k 7 --f 2/7 --format csv --precision 30", "b638d6d675faf60a6cf6fd3c28807296fce65912be3061aa4f8bfe632250f18f"),
+    ("limit --k 7 --f 2/7 --format csv --precision 80", "b792c52c96f06a40acf5db2dc8e9e6b742f1a995020d1f65298dbb291d390db4"),
+    ("scan --k 4 --f 2/5 --grid 100,200,400 --format json --precision 12", "56a317c109ed5a77b38c143df59e205cf9e3a5af82e34cd6a26eb8aa99ce4b0e"),
+    ("scan --k 4 --f 2/5 --grid 100,200,400 --format json --precision 30", "89499f849c43ef069fb5896c45a96c0ce6336165218d4b7e82ed29b990afde70"),
+    ("scan --k 4 --f 2/5 --grid 100,200,400 --format json --precision 80", "357bee96244695168cc7c6162793d74324e5dece0f4cabf5dcbdc4550e4c80e7"),
+    ("scan --k 4 --f 2/5 --grid 100,200,400 --format csv --precision 12", "986eb52e452a3e7e793010013775bc7548b896ce8f1de71cc68f125c58030c12"),
+    ("scan --k 4 --f 2/5 --grid 100,200,400 --format csv --precision 30", "e5c2fdedbb3b7e8710bf25f4a116c86088a085d10ee803cd17ca273381fce729"),
+    ("scan --k 4 --f 2/5 --grid 100,200,400 --format csv --precision 80", "70a8b8f8480c05f95d127f9aba0f243a6c031c9a581305df6da21df8e7d1a60b"),
+    ("scan --k 2 --f 1/100 --grid 2,3 --format csv", "48b41eeef88e5a34f932ce4fd730336c78beb8d65390b765da0a7b62d21e539d"),
+    ("mc --k 3 --N 50 --n 20 --trials 5000 --seed 7", "ba15c4f2febacb956440d956a5d2b6b4774c8cd25b40720a6f0c06d505e60c13"),
+    ("ppoly --k 8 --m 3", "6359f33712afc15e992b20abf7b5ddbc613cb4872455cc9af97d02571731197f"),
+    ("verify --suite exactnum --max-k 3", "03ce3be2cd2eef7a0d0b2ae3118828d2a912c29031cfcb8552bc585c515fdb90"),
+    ("mc --k 3 --N 50 --n 20 --trials 5000 --seed 7 --format csv", "17b2620364140448a92d82bc8d58bce6488344355d274208db653e3a88765e96"),
+    ("ppoly --k 8 --m 3 --format csv", "183448dd9d1cb9290e0803824647c9bfee5f1733f10fd5a139614fd6eb33ee13"),
+    ("verify --suite exactnum --max-k 3 --format csv", "e385b5267ada875dfa9297a69ebc7df818272989c2e7559dbe9ec843c3cb01c5"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_OUTPUTS, ids=[argv for argv, _ in _PINNED_OUTPUTS])
+def test_output_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    target = tmp_path / "out"
+    code = cli.run(argv.split() + ["--out", str(target)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_scan_with_no_interior_design_prints_the_csv_header(capsys):
+    code = cli.run(["scan", "--k", "2", "--f", "1/100", "--grid", "2,3", "--format", "csv"])
+    captured = capsys.readouterr()
+    out, err = captured.out, captured.err
+    assert code == 0 and "warning" in err
+    assert out == "k,N,n,f,corr,scaled,scaled_decimal,limit,abs_error_decimal\n"

@@ -7,10 +7,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
-from srscorr.correlation import evaluate_correlation, limit_spec
+from srscorr.correlation import CorrRecord, LimitSpec, evaluate_correlation, limit_spec
 from srscorr.errors import DomainError
-from srscorr.oracle import monte_carlo_corr
+from srscorr.oracle import McEstimate, monte_carlo_corr
+from srscorr.ppoly import PolyRecord
 from srscorr.report import (
     CORR_COLUMNS,
     LIMIT_COLUMNS,
@@ -19,8 +22,10 @@ from srscorr.report import (
     emit_report,
     parse_corr_row,
     parse_mc_row,
+    parse_row,
     row_to_obj,
 )
+from srscorr.verify import CheckResult
 
 
 # ---------------------------------------------------------------------------
@@ -134,27 +139,79 @@ def test_row_to_obj_passes_prebuilt_dicts_through():
 
 
 # ---------------------------------------------------------------------------
-# round trips
+# round trips: emit -> parse is the identity for every record kind
 
 
-def test_corr_record_round_trips_through_json():
+_ints = st.integers(-(10**30), 10**30)
+# 7^5200 has 4395 digits and 11^4400 has 4583, so many of the large rationals
+# run past the interpreter's 4300-digit int-to-str limit on one side of the
+# fraction bar or both
+_huge = st.builds(
+    lambda p, q, e, d: Fraction(p, q) * Fraction(7) ** e / Fraction(11) ** d,
+    st.integers(-(10**9), 10**9),
+    st.integers(1, 10**9),
+    st.integers(-5200, 5200),
+    st.sampled_from([0, 4400, 4700]),
+)
+_rationals = st.one_of(st.fractions(), _huge)
+_text = st.text()
+
+_RECORDS = {
+    CorrRecord: st.builds(
+        CorrRecord,
+        k=_ints, N=_ints, n=_ints, f=_rationals, corr=_rationals, scaled=_rationals, limit=_rationals
+    ),
+    LimitSpec: st.builds(LimitSpec, k=_ints, f=_rationals, value=_rationals, exponent=_ints),
+    McEstimate: st.builds(
+        McEstimate,
+        k=_ints, N=_ints, n=_ints, trials=_ints, seed=_ints,
+        mean=st.floats(allow_nan=False, allow_infinity=False),
+        stderr=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    PolyRecord: st.builds(
+        PolyRecord, k=_ints, m=_ints, degree=_ints, coefficients=st.lists(_rationals, max_size=4).map(tuple)
+    ),
+    CheckResult: st.builds(CheckResult, suite=_text, identity=_text, params=_text, passed=st.booleans(), detail=_text),
+}
+
+
+def _parse_document(kind, text: str, format: str) -> list:
+    if format == "json":
+        return [parse_row(kind, line) for line in text.splitlines()]
+    return [parse_row(kind, row) for row in csv.DictReader(io.StringIO(text))]
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+@pytest.mark.parametrize("kind", list(_RECORDS), ids=lambda kind: kind.__name__)
+# no shrink phase: shrinking records of 5000-digit rationals takes minutes,
+# so a failure reports the first example that broke the identity
+@settings(
+    max_examples=25,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_emit_then_parse_is_identity(kind, format, data):
+    records = data.draw(st.lists(_RECORDS[kind], min_size=1, max_size=3))
+    precision = data.draw(st.integers(1, 60))
+    text = emit_report(records, format, precision)
+    assert _parse_document(kind, text, format) == records
+    assert emit_report(records, format, precision) == text
+
+
+def test_parse_corr_and_mc_rows_accept_lines_and_row_dicts():
     rec = evaluate_correlation(4, 26, 11)
-    line = emit_report([rec], "json", precision=12)
-    back = parse_corr_row(line)
-    assert back == rec
-
-
-def test_corr_record_round_trips_through_csv():
-    rec = evaluate_correlation(3, 17, 6)
-    text = emit_report([rec], "csv", precision=12)
-    parsed = list(csv.reader(io.StringIO(text)))
-    back = parse_corr_row(dict(zip(parsed[0], parsed[1])))
-    assert back == rec
-
-
-def test_mc_estimate_round_trips_through_json_and_csv():
+    assert parse_corr_row(emit_report([rec], "json")) == rec
+    (row,) = csv.DictReader(io.StringIO(emit_report([rec], "csv")))
+    assert parse_corr_row(row) == rec
     est = monte_carlo_corr(3, 12, 5, trials=4000, seed=23)
     assert parse_mc_row(emit_report([est], "json")) == est
-    text = emit_report([est], "csv")
-    parsed = list(csv.reader(io.StringIO(text)))
-    assert parse_mc_row(dict(zip(parsed[0], parsed[1]))) == est
+    (row,) = csv.DictReader(io.StringIO(emit_report([est], "csv")))
+    assert parse_mc_row(row) == est
+
+
+def test_csv_quotes_a_report_with_a_lone_carriage_return():
+    result = CheckResult(suite="s", identity="i", params="p", passed=True, detail="a\rb")
+    text = emit_report([result], "csv")
+    assert text.splitlines()[0] == '"suite","identity","params","passed","detail"'
+    assert _parse_document(CheckResult, text, "csv") == [result]
