@@ -7,13 +7,13 @@ Verbs:
 * ``scan``   — convergence scan over a grid of population sizes
 * ``mc``     — reproducible Monte Carlo estimate for a design
 * ``ppoly``  — coefficients of one recursion polynomial
-* ``verify`` — run the identity/invariant suites
+* ``verify`` — run the identity/invariant checks, one row per check
 
 Exit codes: 0 success; 1 usage error (argv does not parse: unknown verb or
 flag, malformed integer or rational literal, missing required flag);
 2 computation error (a domain or budget violation raised while executing
 the verb, e.g. n > N, f outside (0,1), enumeration guard exceeded);
-3 verification failure (``verify`` ran and at least one check failed).
+3 verification failure (``verify`` ran and a check failed or compared nothing).
 
 Rationals on the command line are always exact literals ``p/q`` (or bare
 integers) — float syntax is rejected so results never silently inherit
@@ -119,7 +119,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run identity/invariant suites")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--max-k", type=int, default=None, help="cap the order-like range of each check")
+    max_k_help = "cap the order-like range of each check; a check capped below its lower bound fails"
+    p.add_argument("--max-k", type=int, default=None, help=max_k_help)
 
     return parser
 

@@ -100,7 +100,10 @@ SCHEMAS: dict[type, tuple] = {
     LimitSpec: _fields(INT, "k") + _fields(RATIONAL, "f value") + _decimal("value") + _fields(INT, "exponent"),
     McEstimate: _fields(INT, "k N n trials seed") + _fields(FLOAT, "mean stderr"),
     PolyRecord: _fields(INT, "k m degree") + _fields(RATIONALS, "coefficients"),
-    CheckResult: _fields(TEXT, "suite identity params") + _fields(BOOL, "passed") + _fields(TEXT, "detail"),
+    CheckResult: (
+        _fields(TEXT, "suite identity params") + _fields(BOOL, "passed") + _fields(INT, "cases")
+        + _fields(TEXT, "detail")
+    ),
 }
 
 

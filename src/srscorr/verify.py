@@ -1,7 +1,7 @@
-"""Executable verification suites: every identity and invariant the package
-relies on, each runnable as a named check returning a pass/fail row.
+"""Executable verification: one registry (``CHECKS``) of named checks, one for
+each identity or invariant the package relies on, each returning a pass/fail row.
 
-The suites deliberately re-derive everything through an independent route —
+The checks deliberately re-derive everything through an independent route —
 term-by-term summation against closed forms, brute-force enumeration against
 the moment formula, polynomial expansion against pointwise recursion — so a
 single implementation error cannot silently vouch for itself.  All checks
@@ -29,6 +29,7 @@ from .exactnum import (
     alternating_fraction_sum,
     bernoulli,
     binomial,
+    double_factorial_odd,
     falling_factorial,
     gamma_ratio,
     kronecker_delta,
@@ -54,9 +55,7 @@ from .ppoly import (
     p_poly,
 )
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
-
-SUITE_NAMES = ("exactnum", "ppoly", "correlation", "oracle")
+__all__ = ["CHECKS", "Check", "CheckResult", "SUITE_NAMES", "run_suite"]
 
 #: beta (or beta/gamma) values exercised by the Gamma-ratio identities.
 _BETA_LATTICE = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
@@ -64,41 +63,68 @@ _BETA_LATTICE = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fract
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named identity check."""
+    """Outcome of one named identity check: it passed if it made ``cases > 0``
+    comparisons and none of them failed."""
 
     suite: str
     identity: str
     params: str
     passed: bool
+    cases: int = 0
     detail: str = ""
 
 
 class _Recorder:
-    """Collects mismatches for one check and renders the result row."""
+    """Counts the comparisons of one check and keeps its first mismatches."""
 
-    def __init__(self, suite: str, identity: str, params: str):
-        self.suite, self.identity, self.params = suite, identity, params
+    def __init__(self):
+        self.cases = 0
         self.failures: list[str] = []
 
     def expect(self, condition: bool, describe: str) -> None:
+        self.cases += 1
         if not condition and len(self.failures) < 4:
             self.failures.append(describe)
 
     def equal(self, lhs, rhs, where: str) -> None:
-        self.expect(lhs == rhs, f"{where}: {lhs} != {rhs}")
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            suite=self.suite,
-            identity=self.identity,
-            params=self.params,
-            passed=not self.failures,
-            detail="; ".join(self.failures),
-        )
+        self.cases += 1
+        if lhs != rhs and len(self.failures) < 4:
+            self.failures.append(f"{where}: {lhs} != {rhs}")
 
 
-def _cap(stated: int, max_k: int | None) -> int:
-    return stated if max_k is None else min(stated, max_k)
+@dataclass(frozen=True)
+class Check:
+    """One registry entry.  ``body(recorder, top)`` makes the comparisons over
+    the check's range capped at ``top``; ``cap`` is the full range, or None
+    for a check without an order-like range (``top`` is then None)."""
+
+    suite: str
+    identity: str
+    params: str  # str.format template of the range, filled in with ``top``
+    cap: int | None
+    body: object
+
+    def run(self, max_k: int | None = None) -> CheckResult:
+        top = self.cap if max_k is None or self.cap is None else min(self.cap, max_k)
+        r = _Recorder()
+        self.body(r, top)
+        passed = r.cases > 0 and not r.failures
+        detail = "; ".join(r.failures) if r.cases else "no cases were compared"
+        return CheckResult(self.suite, self.identity, self.params.format(top=top), passed, r.cases, detail)
+
+
+#: Every check, in output order: grouped by suite, suites in ``SUITE_NAMES`` order.
+CHECKS: list[Check] = []
+
+
+def _check(suite: str, identity: str, params: str, cap: int | None = None):
+    """Append the decorated body to ``CHECKS``."""
+
+    def register(body):
+        CHECKS.append(Check(suite, identity, params, cap, body))
+        return body
+
+    return register
 
 
 # ----------------------------------------------------------------------
@@ -106,78 +132,84 @@ def _cap(stated: int, max_k: int | None) -> int:
 # ----------------------------------------------------------------------
 
 
-def _exactnum_checks(max_k: int | None) -> list[CheckResult]:
-    out = []
-
-    top = _cap(14, max_k)
-    r = _Recorder("exactnum", "stirling2-alternating-power-sum", f"0 <= m,k <= {top}")
+@_check("exactnum", "stirling2-alternating-power-sum", "0 <= m,k <= {top}", 14)
+def _(r, top):
     for m in range(top + 1):
         for k in range(top + 1):
             lhs = sum((-1) ** j * binomial(k, j) * j**m for j in range(k + 1))
             rhs = (-1) ** k * math.factorial(k) * stirling_second(m, k)
             r.equal(lhs, rhs, f"m={m} k={k}")
-    out.append(r.result())
 
-    top = _cap(24, max_k)
-    r = _Recorder("exactnum", "bernoulli-recurrence", f"0 <= m <= {top}")
+
+@_check("exactnum", "bernoulli-recurrence", "0 <= m <= {top}", 24)
+def _(r, top):
     for m in range(top + 1):
         lhs = sum(binomial(m + 1, j) * bernoulli(j) for j in range(m + 1))
         r.equal(lhs, kronecker_delta(m), f"m={m}")
-    out.append(r.result())
 
-    top = _cap(12, max_k)
-    r = _Recorder("exactnum", "power-sum-closed-form", f"m <= {top}, k <= 50")
+
+@_check("exactnum", "power-sum-closed-form", "m <= {top}, k <= 50", 12)
+def _(r, top):
     for m in range(top + 1):
         for k in range(51):
             direct = sum(p**m for p in range(k))  # 0**0 == 1 in Python
             r.equal(sum_of_powers(k, m), direct, f"m={m} k={k}")
-    out.append(r.result())
 
-    r = _Recorder("exactnum", "power-sum-leading-coefficients", f"m <= {top}")
+
+@_check("exactnum", "power-sum-leading-coefficients", "m <= {top}", 12)
+def _(r, top):
     for m in range(top + 1):
         coeffs = power_sum_coefficients(m)
+        r.equal(len(coeffs), m + 2, f"m={m} length")
+        r.equal(coeffs[0], 0, f"m={m} constant")
         r.equal(coeffs[m + 1], Fraction(1, m + 1), f"m={m} leading")
         if m >= 1:
             r.equal(coeffs[m], Fraction(-1, 2), f"m={m} subleading")
-    out.append(r.result())
 
-    r = _Recorder("exactnum", "unit-step-binomial-sum", f"1 <= m <= {top}")
+
+@_check("exactnum", "unit-step-binomial-sum", "1 <= m <= {top}", 12)
+def _(r, top):
     for m in range(1, top + 1):
         lhs = sum((-1) ** n * binomial(m, n + 1) for n in range(m))
         r.equal(lhs, 1, f"m={m}")
-    out.append(r.result())
 
-    r = _Recorder("exactnum", "delta-binomial-sum", f"1 <= m <= {top}")
+
+@_check("exactnum", "delta-binomial-sum", "1 <= m <= {top}", 12)
+def _(r, top):
     for m in range(1, top + 1):
         lhs = sum((-1) ** n * binomial(m - 1, n) for n in range(m))
         r.equal(lhs, kronecker_delta(m - 1), f"m={m}")
-    out.append(r.result())
 
-    r = _Recorder("exactnum", "gamma-ratio-binomial-sum", f"m <= {top}, beta in {{1/2,1,3/2,2,3}}")
+
+@_check("exactnum", "gamma-ratio-binomial-sum", "m <= {top}, beta in {{1/2,1,3/2,2,3}}", 12)
+def _(r, top):
     for m in range(1, top + 1):
         for beta in _BETA_LATTICE:
             lhs = sum(Fraction((-1) ** n * binomial(m - 1, n)) / (n + beta) for n in range(m))
             r.equal(lhs, gamma_ratio(m, beta), f"m={m} beta={beta}")
-    out.append(r.result())
 
-    r = _Recorder("exactnum", "weighted-gamma-ratio-sum", f"m <= {top}, beta in {{1/2,1,3/2,2,3}}")
+
+@_check("exactnum", "weighted-gamma-ratio-sum", "m <= {top}, beta in {{1/2,1,3/2,2,3}}", 12)
+def _(r, top):
     for m in range(1, top + 1):
         for beta in _BETA_LATTICE:
             lhs = sum(Fraction((-1) ** n * binomial(m - 1, n) * n) / (n + beta) for n in range(m))
             rhs = kronecker_delta(m - 1) - beta * gamma_ratio(m, beta)
             r.equal(lhs, rhs, f"m={m} beta={beta}")
-    out.append(r.result())
 
-    r = _Recorder(
-        "exactnum",
-        "affine-fraction-sum-closed-form",
-        f"m <= {top}, beta/gamma in {{1/2,1,3/2,2,3}}, mixed affine coefficients",
-    )
+
+@_check(
+    "exactnum", "affine-fraction-sum-closed-form",
+    "m <= {top}, beta/gamma in {{1/2,1,3/2,2,3}}, mixed affine coefficients", 12,
+)
+def _(r, top):
     affine_cases = (
         (Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(0)),
+        (Fraction(1), Fraction(1)),
         (Fraction(2), Fraction(-3)),
         (Fraction(1, 2), Fraction(5, 3)),
+        (Fraction(2, 3), Fraction(-1, 5)),
     )
     for m in range(1, top + 1):
         for ratio in _BETA_LATTICE:
@@ -190,26 +222,28 @@ def _exactnum_checks(max_k: int | None) -> list[CheckResult]:
                     )
                     rhs = alternating_fraction_sum(m, alpha, delta, gamma, beta)
                     r.equal(lhs, rhs, f"m={m} alpha={alpha} delta={delta} gamma={gamma} beta={beta}")
-    out.append(r.result())
 
-    r = _Recorder("exactnum", "gamma-half-integer-closed-form", f"1 <= m <= {top}")
+
+@_check("exactnum", "gamma-half-integer-closed-form", "1 <= m <= {top}", 12)
+def _(r, top):
     for m in range(1, top + 1):
         expected = Fraction(math.factorial(m - 1) ** 2 * 2 ** (2 * m - 1), math.factorial(2 * m - 1))
         r.equal(gamma_ratio(m, Fraction(1, 2)), expected, f"m={m}")
-    out.append(r.result())
 
-    top = _cap(20, max_k)
-    r = _Recorder("exactnum", "normal-moment-double-factorial", f"k <= {top}")
+
+@_check("exactnum", "normal-moment-double-factorial", "k <= {top}", 20)
+def _(r, top):
     for k in range(top + 1):
         if k % 2 == 1:
             r.equal(normal_moment(k), 0, f"k={k}")
         else:
             odd_product = math.prod(range(1, k, 2))
             r.equal(normal_moment(k), odd_product, f"k={k}")
-    out.append(r.result())
+            r.equal(double_factorial_odd(k - 1), odd_product, f"k={k} ({k - 1})!!")
 
-    top = _cap(10, max_k)
-    r = _Recorder("exactnum", "falling-factorial-stirling1", f"j <= {top}")
+
+@_check("exactnum", "falling-factorial-stirling1", "j <= {top}", 10)
+def _(r, top):
     for j in range(top + 1):
         symbolic = Poly([1])
         for i in range(j):
@@ -217,9 +251,6 @@ def _exactnum_checks(max_k: int | None) -> list[CheckResult]:
         for v in range(j + 1):
             expected = stirling_first_unsigned(j, v) * (-1) ** (j - v)
             r.equal(symbolic.coefficient(v), expected, f"j={j} v={v}")
-    out.append(r.result())
-
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +258,9 @@ def _exactnum_checks(max_k: int | None) -> list[CheckResult]:
 # ----------------------------------------------------------------------
 
 #: Fixed evaluation points for the falling-factorial expansion check:
-#: 20 distinct rationals mixing signs, integers, halves and thirds.
+#: 20 distinct rationals mixing signs, integers, halves and thirds.  Both
+#: sides are polynomials in x of degree j - k <= 12, so agreeing at these 20
+#: points proves they agree at every x.
 _X_SAMPLES = tuple(
     Fraction(p, q)
     for p, q in (
@@ -237,36 +270,26 @@ _X_SAMPLES = tuple(
 )
 
 
-def _finite_differences_vanish(values: list[Fraction], order: int) -> bool:
-    cur = list(values)
-    for _ in range(order):
-        cur = [b - a for a, b in zip(cur, cur[1:])]
-    return all(c == 0 for c in cur)
-
-
-def _ppoly_checks(max_k: int | None) -> list[CheckResult]:
-    out = []
-
-    top = _cap(18, max_k)
-    r = _Recorder("ppoly", "vanishing-window", f"k <= {top}, m <= k, k-m+1 <= j <= k")
+@_check("ppoly", "vanishing-window", "k <= {top}, m <= k, k-m+1 <= j <= k", 18)
+def _(r, top):
     for k in range(top + 1):
         for m in range(k + 1):
             poly = p_poly(k, m)
             for j in range(k - m + 1, k + 1):
                 r.equal(poly(j), 0, f"k={k} m={m} j={j}")
-    out.append(r.result())
 
-    top = _cap(14, max_k)
-    r = _Recorder("ppoly", "prefix-suffix-agreement", f"k <= {top}, m <= k, 0 <= j <= k")
+
+@_check("ppoly", "prefix-suffix-agreement", "k <= {top}, m <= k, 0 <= j <= k", 14)
+def _(r, top):
     for k in range(top + 1):
         for m in range(k + 1):
             poly = p_poly(k, m)
             for j in range(k + 1):
                 r.equal(poly(j), p0_eval(k, m, j), f"k={k} m={m} j={j}")
-    out.append(r.result())
 
-    top = _cap(12, max_k)
-    r = _Recorder("ppoly", "leading-coefficients", f"1 <= m <= k <= {top}")
+
+@_check("ppoly", "leading-coefficients", "1 <= m <= k <= {top}", 12)
+def _(r, top):
     for k in range(1, top + 1):
         for m in range(1, k + 1):
             poly = p_poly(k, m)
@@ -275,9 +298,10 @@ def _ppoly_checks(max_k: int | None) -> list[CheckResult]:
             r.equal(poly.coefficient(2 * m), Fraction((-1) ** m, denom), f"k={k} m={m} lead")
             expected_sub = Fraction((-1) ** m * m * (2 * m - 5), 3 * denom)
             r.equal(poly.coefficient(2 * m - 1), expected_sub, f"k={k} m={m} sublead")
-    out.append(r.result())
 
-    r = _Recorder("ppoly", "point-form-remainder-degree", f"1 <= v <= {top}, window j = v..3v+2")
+
+@_check("ppoly", "point-form-remainder-degree", "1 <= v <= {top}, window j = v..3v+2", 12)
+def _(r, top):
     for v in range(1, top + 1):
         denom = 2**v * math.factorial(v)
         window = range(v, 3 * v + 3)
@@ -286,14 +310,16 @@ def _ppoly_checks(max_k: int | None) -> list[CheckResult]:
             - (j ** (2 * v) - Fraction(v * (2 * v + 1), 3) * j ** (2 * v - 1)) / denom
             for j in window
         ]
+        for _ in range(2 * v - 1):  # finite differences of order 2v - 1
+            deviations = [b - a for a, b in zip(deviations, deviations[1:])]
         r.expect(
-            _finite_differences_vanish(deviations, 2 * v - 1),
+            all(d == 0 for d in deviations),
             f"v={v}: deviation from the two-term main part exceeds degree {2 * v - 2}",
         )
-    out.append(r.result())
 
-    top = _cap(10, max_k)
-    r = _Recorder("ppoly", "elementary-sum-equivalence", f"v <= j <= {top}, 0 <= k <= j")
+
+@_check("ppoly", "elementary-sum-equivalence", "v <= j <= {top}, 0 <= k <= j", 10)
+def _(r, top):
     # The suffix value P0[j, v](k) is the v-th elementary symmetric sum of
     # the integer window {k, ..., j-1} (the j-k roots of (x-k)_(j-k)), so the
     # oracle window top is j-1.  Both sides satisfy the same recursion
@@ -303,25 +329,23 @@ def _ppoly_checks(max_k: int | None) -> list[CheckResult]:
             for k in range(j + 1):
                 lhs = elementary_sum_oracle(j - 1, v, k)
                 r.equal(lhs, p0_eval(j, v, k), f"j={j} v={v} k={k}")
-    out.append(r.result())
 
-    top = _cap(12, max_k)
-    r = _Recorder("ppoly", "falling-factorial-expansion", f"k <= j <= {top}, 20 rational points")
+
+@_check("ppoly", "falling-factorial-expansion", "k <= j <= {top}, 20 rational points", 12)
+def _(r, top):
     for j in range(top + 1):
         for k in range(j + 1):
             for x in _X_SAMPLES:
                 lhs = falling_factorial_via_p0(j, k, x)
                 rhs = falling_factorial(x - k, j - k)
                 r.equal(lhs, rhs, f"j={j} k={k} x={x}")
-    out.append(r.result())
 
-    r = _Recorder("ppoly", "suffix-value-agrees-at-0-and-1", f"v <= j <= {top}")
+
+@_check("ppoly", "suffix-value-agrees-at-0-and-1", "v <= j <= {top}", 12)
+def _(r, top):
     for j in range(top + 1):
         for v in range(j + 1):
             r.equal(p0_eval(j, v, 0), p0_eval(j, v, 1), f"j={j} v={v}")
-    out.append(r.result())
-
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -329,72 +353,60 @@ def _ppoly_checks(max_k: int | None) -> list[CheckResult]:
 # ----------------------------------------------------------------------
 
 
-def _theorem_limit_poly(k: int) -> Poly:
-    """theorem_limit(k, f) as an exact polynomial in f."""
-    base = Poly([0, -1, 1])  # f^2 - f
-    if k % 2 == 0:
-        return base ** (k // 2) * normal_moment(k)
-    return base ** ((k - 1) // 2) * Poly([-1, 2]) * Fraction(k - 1, 3) * normal_moment(k + 1)
-
-
-def _correlation_checks(max_k: int | None) -> list[CheckResult]:
-    out = []
-
-    r = _Recorder("correlation", "trivial-orders", "k in {0,1}, N <= 12, all n")
+@_check("correlation", "trivial-orders", "k in {{0,1}}, N <= 12, all n")
+def _(r, top):
     for N in range(1, 13):
         for n in range(N + 1):
             r.equal(corr_exact(0, N, n), 1, f"N={N} n={n} k=0")
-            if N >= 1:
-                r.equal(corr_exact(1, N, n), 0, f"N={N} n={n} k=1")
-    out.append(r.result())
+            r.equal(corr_exact(1, N, n), 0, f"N={N} n={n} k=1")
 
-    kcap = _cap(8, max_k)
-    r = _Recorder(
-        "correlation",
-        "brute-force-equivalence",
-        f"N <= 14, 1 <= n <= N-1, k <= min(n+2, {kcap}, N)",
-    )
+
+@_check("correlation", "brute-force-equivalence", "N <= 14, 1 <= n <= N-1, k <= min(n+2, {top}, N)", 8)
+def _(r, top):
     for N in range(2, 15):
         for n in range(1, N):
-            for k in range(min(n + 2, kcap, N) + 1):
+            for k in range(min(n + 2, top, N) + 1):
                 r.equal(corr_exact(k, N, n), brute_force_corr(k, N, n), f"k={k} N={N} n={n}")
-    out.append(r.result())
 
-    r = _Recorder("correlation", "pair-closed-form", "k = 2, N <= 100, all n")
+
+@_check("correlation", "pair-closed-form", "k = 2, N <= 100, all n")
+def _(r, top):
     for N in range(2, 101):
         for n in range(N + 1):
             expected = Fraction(-n * (N - n), N * N * (N - 1))
             r.equal(corr_exact(2, N, n), expected, f"N={N} n={n}")
-    out.append(r.result())
 
-    kcap = _cap(8, max_k)
-    r = _Recorder("correlation", "alpha-table-reconstruction", f"k <= {kcap}, k <= N <= 40, all n")
-    for k in range(kcap + 1):
+
+@_check("correlation", "alpha-table-reconstruction", "k <= {top}, k <= N <= 40, all n", 8)
+def _(r, top):
+    for k in range(top + 1):
         table = alpha_coefficients(k)
         for N in range(max(k, 1), 41):
             for n in range(N + 1):
                 r.equal(table.corr(N, n), corr_exact(k, N, n), f"k={k} N={N} n={n}")
-    out.append(r.result())
 
-    kcap = _cap(9, max_k)
-    r = _Recorder("correlation", "coefficient-sum-identity", f"2 <= k <= {kcap}")
-    for k in range(2, kcap + 1):
-        collected = [Fraction(0)] * (k + 1)
-        for v in range(k + 1):
-            collected[k - v] = coefficient_limit(k, v)
-        limit_poly = _theorem_limit_poly(k)
-        r.equal(Poly(collected), limit_poly, f"k={k}")
-        for f in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
+
+@_check("correlation", "coefficient-sum-identity", "2 <= k <= {top}", 9)
+def _(r, top):
+    for k in range(2, top + 1):
+        collected = Poly([coefficient_limit(k, k - i) for i in range(k + 1)])  # coefficient of f^i at index i
+        # theorem_limit(k, f) as an exact polynomial in f
+        base = Poly([0, -1, 1])  # f^2 - f
+        if k % 2 == 0:
+            limit_poly = base ** (k // 2) * normal_moment(k)
+        else:
+            limit_poly = base ** ((k - 1) // 2) * Poly([-1, 2]) * Fraction(k - 1, 3) * normal_moment(k + 1)
+        r.equal(collected, limit_poly, f"k={k}")
+        for f in (Fraction(1, 10), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(9, 10)):
             r.equal(limit_poly(f), theorem_limit(k, f), f"k={k} f={f}")
-    out.append(r.result())
 
-    kcap = _cap(6, max_k)
-    r = _Recorder(
-        "correlation",
-        "per-coefficient-convergence",
-        f"2 <= k <= {kcap}, v <= e(k), error ratio at N=1e3 vs 1e4 in [5, 20]",
-    )
-    for k in range(2, kcap + 1):
+
+@_check(
+    "correlation", "per-coefficient-convergence",
+    "2 <= k <= {top}, v <= e(k), error ratio at N=1e3 vs 1e4 in [5, 20]", 6,
+)
+def _(r, top):
+    for k in range(2, top + 1):
         table = alpha_coefficients(k)
         e = parity_exponent(k)
         for v in range(e + 1):
@@ -403,25 +415,24 @@ def _correlation_checks(max_k: int | None) -> list[CheckResult]:
             for N in (1000, 10000):
                 scaled = Fraction(N) ** e * table.f_coefficient(v, N) / falling_factorial(N, k)
                 errs.append(abs(scaled - target))
-            if errs[0] == 0 and errs[1] == 0:
-                continue
-            r.expect(errs[1] != 0, f"k={k} v={v}: error vanished only at the larger N")
             if errs[1] != 0:
                 ratio = errs[0] / errs[1]
                 r.expect(
                     Fraction(5) <= ratio <= Fraction(20),
                     f"k={k} v={v}: error ratio {float(ratio):.3f} outside [5, 20]",
                 )
-    out.append(r.result())
+            elif errs[0] != 0:
+                r.expect(False, f"k={k} v={v}: error vanished only at the larger N")
+            # exact at both sizes: no ratio to compare, so no case is counted
 
-    kcap = _cap(8, max_k)
-    r = _Recorder(
-        "correlation",
-        "scaled-sequence-boundedness",
-        f"2 <= k <= {kcap}, f = 2/5, N = 2^9..2^14 within factor 10 of final",
-    )
+
+@_check(
+    "correlation", "scaled-sequence-boundedness",
+    "2 <= k <= {top}, f = 2/5, N = 2^9..2^14 within factor 10 of final", 8,
+)
+def _(r, top):
     f = Fraction(2, 5)
-    for k in range(2, kcap + 1):
+    for k in range(2, top + 1):
         e = parity_exponent(k)
         scaled_abs = {}
         for exp in range(7, 15):
@@ -437,19 +448,16 @@ def _correlation_checks(max_k: int | None) -> list[CheckResult]:
                     Fraction(1, 10) < ratio < Fraction(10),
                     f"k={k} N=2^{exp}: |scaled|/|final| = {float(ratio):.4f}",
                 )
-    out.append(r.result())
 
-    kcap = _cap(6, max_k)
-    r = _Recorder("correlation", "complement-sign-symmetry", f"k <= {kcap}, N <= 12, all n")
+
+@_check("correlation", "complement-sign-symmetry", "k <= {top}, N <= 12, all n", 6)
+def _(r, top):
     for N in range(1, 13):
-        for k in range(min(kcap, N) + 1):
+        for k in range(min(top, N) + 1):
             for n in range(N + 1):
                 lhs = corr_exact(k, N, n)
                 rhs = (-1) ** k * corr_exact(k, N, N - n)
                 r.equal(lhs, rhs, f"k={k} N={N} n={n}")
-    out.append(r.result())
-
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -458,8 +466,6 @@ def _correlation_checks(max_k: int | None) -> list[CheckResult]:
 
 
 class _CountingRng(SplitMix64):
-    __slots__ = ("bounded_draws",)
-
     def __init__(self, seed: int):
         super().__init__(seed)
         self.bounded_draws = 0
@@ -469,27 +475,24 @@ class _CountingRng(SplitMix64):
         return super().next_below(bound)
 
 
-def _oracle_checks(max_k: int | None) -> list[CheckResult]:
-    out = []
-
-    kcap = _cap(8, max_k)
-    r = _Recorder(
-        "oracle",
-        "moment-expansion-vs-enumeration",
-        f"N <= 12, all n, k <= min({kcap}, N)",
-    )
-    for N in range(2, 13):
+@_check("oracle", "moment-expansion-vs-enumeration", "N <= 12, all n, k <= min({top}, N)", 8)
+def _(r, top):
+    # enumeration against corr_exact and an independent moment expansion
+    for N in range(1, 13):
         for n in range(N + 1):
             f = Fraction(n, N)
-            for k in range(min(kcap, N) + 1):
+            for k in range(min(top, N) + 1):
+                enumerated = brute_force_corr(k, N, n)
                 expanded = sum(
                     binomial(k, j) * hypergeom_inclusion_prob(j, N, n) * (-f) ** (k - j)
                     for j in range(k + 1)
                 )
-                r.equal(expanded, brute_force_corr(k, N, n), f"k={k} N={N} n={n}")
-    out.append(r.result())
+                r.equal(expanded, enumerated, f"k={k} N={N} n={n}")
+                r.equal(corr_exact(k, N, n), enumerated, f"k={k} N={N} n={n} corr_exact")
 
-    r = _Recorder("oracle", "unit-set-exchangeability", "5 random unit sets per design")
+
+@_check("oracle", "unit-set-exchangeability", "5 random unit sets per design")
+def _(r, top):
     rng = SplitMix64(7)
     for k, N, n in ((2, 8, 3), (3, 9, 4), (4, 10, 5)):
         reference = brute_force_corr(k, N, n)
@@ -500,9 +503,10 @@ def _oracle_checks(max_k: int | None) -> list[CheckResult]:
                 reference,
                 f"k={k} N={N} n={n} H={members}",
             )
-    out.append(r.result())
 
-    r = _Recorder("oracle", "sampler-uniformity", "(4,2),(5,2),(6,3); 1e5 draws within 5 sigma")
+
+@_check("oracle", "sampler-uniformity", "(4,2),(5,2),(6,3); 1e5 draws within 5 sigma")
+def _(r, top):
     for N, n in ((4, 2), (5, 2), (6, 3)):
         draws = 100_000
         rng = SplitMix64(DEFAULT_MC_SEED + N * 100 + n)
@@ -517,47 +521,37 @@ def _oracle_checks(max_k: int | None) -> list[CheckResult]:
                 abs(freq - p) <= 5 * sigma,
                 f"(N={N}, n={n}) subset {subset}: freq {freq:.5f} vs {p:.5f} (5 sigma = {5 * sigma:.5f})",
             )
-    out.append(r.result())
 
-    r = _Recorder("oracle", "sampler-draw-budget", "N <= 12, all n: exactly n bounded draws")
+
+@_check("oracle", "sampler-draw-budget", "N <= 12, all n: exactly n bounded draws")
+def _(r, top):
     for N in range(13):
         for n in range(N + 1):
             rng = _CountingRng(99)
             sample_srs(N, n, rng)
             r.equal(rng.bounded_draws, n, f"N={N} n={n}")
-    out.append(r.result())
 
-    r = _Recorder("oracle", "mc-bit-reproducibility", "(k,N,n)=(2,10,5), 20000 trials, fixed seed")
+
+@_check("oracle", "mc-bit-reproducibility", "(k,N,n)=(2,10,5), 20000 trials, fixed seed")
+def _(r, top):
     first = monte_carlo_corr(2, 10, 5, 20_000, seed=DEFAULT_MC_SEED)
     second = monte_carlo_corr(2, 10, 5, 20_000, seed=DEFAULT_MC_SEED)
     r.equal(first, second, "repeated run")
-    out.append(r.result())
-
-    return out
 
 
-_SUITE_RUNNERS = {
-    "exactnum": _exactnum_checks,
-    "ppoly": _ppoly_checks,
-    "correlation": _correlation_checks,
-    "oracle": _oracle_checks,
-}
+SUITE_NAMES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 
 def run_suite(name: str, max_k: int | None = None) -> list[CheckResult]:
-    """Run one named suite, or all of them in order for ``name == "all"``.
+    """Run the checks of one named suite, or every check for ``name == "all"``.
 
     ``max_k`` caps the order-like range of each check (useful for quick
-    smoke runs); ``None`` keeps every check at its full stated range.
+    smoke runs); ``None`` keeps every check at its full stated range.  A
+    cap below a check's lower bound leaves it nothing to compare, so it
+    fails.
     """
     if max_k is not None and max_k < 0:
         raise DomainError(f"max_k must be >= 0, got {max_k}")
-    if name == "all":
-        results: list[CheckResult] = []
-        for suite in SUITE_NAMES:
-            results.extend(_SUITE_RUNNERS[suite](max_k))
-        return results
-    runner = _SUITE_RUNNERS.get(name)
-    if runner is None:
+    if name != "all" and name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    return runner(max_k)
+    return [check.run(max_k) for check in CHECKS if name in ("all", check.suite)]

@@ -6,30 +6,19 @@ stochastic bracket, and each test prints a single
     ACCEPTANCE nn <name>: PASS|FAIL
 
 line.  Run ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they complete; the whole gate runs in well under five minutes.
+they complete; the whole gate runs in well under five minutes.  Criteria 1
+and 5-9 are checks of the identity registry (``srscorr.verify.CHECKS``), read
+through the session-cached ``check_result`` fixture, so no check runs twice.
 """
 
 import contextlib
 import time
 from fractions import Fraction
 
-from srscorr.correlation import (
-    alpha_coefficients,
-    coefficient_limit,
-    convergence_scan,
-    corr_exact,
-    theorem_limit,
-)
-from srscorr.exactnum import falling_factorial, normal_moment
-from srscorr.oracle import DEFAULT_MC_SEED, brute_force_corr, monte_carlo_corr
-from srscorr.ppoly import (
-    Poly,
-    elementary_sum_oracle,
-    falling_factorial_via_p0,
-    p0_eval,
-    p_poly,
-)
-from srscorr.verify import run_suite
+from srscorr.correlation import convergence_scan, corr_exact, theorem_limit
+from srscorr.exactnum import normal_moment
+from srscorr.oracle import DEFAULT_MC_SEED, monte_carlo_corr
+from srscorr.verify import CHECKS
 
 
 @contextlib.contextmanager
@@ -42,14 +31,18 @@ def _criterion(num: int, name: str):
     print(f"ACCEPTANCE {num:02d} {name}: PASS")
 
 
-def test_criterion_01_exact_formula_equals_enumeration():
+def _assert_checks_pass(check_result, *identities):
+    for identity in identities:
+        result, _ = check_result(identity)
+        assert result.passed and result.cases > 0, (identity, result.detail)
+
+
+def test_criterion_01_exact_formula_equals_enumeration(check_result):
+    # every design with N <= 14, 1 <= n <= N-1 and k <= min(n+2, 8, N)
     with _criterion(1, "exact formula equals subset enumeration"):
-        start = time.perf_counter()
-        for N in range(1, 15):
-            for n in range(1, N):
-                for k in range(0, min(n + 2, 8, N) + 1):
-                    assert corr_exact(k, N, n) == brute_force_corr(k, N, n), (k, N, n)
-        assert time.perf_counter() - start <= 60.0
+        result, seconds = check_result("brute-force-equivalence")
+        assert result.passed and result.cases > 0, result.detail
+        assert seconds <= 60.0
 
 
 def test_criterion_02_limit_table_orders_two_through_nine():
@@ -86,77 +79,36 @@ def test_criterion_04_error_halves_when_population_doubles():
         assert time.perf_counter() - start <= 30.0
 
 
-def test_criterion_05_recursion_polynomials_vanish_on_window():
+def test_criterion_05_recursion_polynomials_vanish_on_window(check_result):
+    # P[k, m] vanishes on k-m+1..k for k <= 18, and agrees with P0 on 0..k for k <= 14
     with _criterion(5, "recursion polynomials vanish on their window"):
-        for k in range(0, 19):
-            for m in range(0, k + 1):
-                poly = p_poly(k, m)
-                for j in range(k - m + 1, k + 1):
-                    assert poly(j) == 0, (k, m, j)
-        for k in range(0, 15):
-            for m in range(0, k + 1):
-                poly = p_poly(k, m)
-                for j in range(0, k + 1):
-                    assert poly(j) == p0_eval(k, m, j), (k, m, j)
+        _assert_checks_pass(check_result, "vanishing-window", "prefix-suffix-agreement")
 
 
-def test_criterion_06_leading_coefficients():
+def test_criterion_06_leading_coefficients(check_result):
+    # the x^(2m) and x^(2m-1) coefficients of P[k, m] for 1 <= m <= k <= 12
     with _criterion(6, "leading coefficients of the recursion polynomials"):
-        for k in range(1, 13):
-            for m in range(1, k + 1):
-                poly = p_poly(k, m)
-                fact = 1
-                for i in range(1, m + 1):
-                    fact *= i
-                assert poly.coefficient(2 * m) == Fraction((-1) ** m, 2**m * fact), (k, m)
-                expected = Fraction((-1) ** m * m * (2 * m - 5), 3 * 2**m * fact)
-                assert poly.coefficient(2 * m - 1) == expected, (k, m)
+        _assert_checks_pass(check_result, "leading-coefficients")
 
 
-def test_criterion_07_falling_factorial_expansion():
+def test_criterion_07_falling_factorial_expansion(check_result):
+    # (x - k)_(j-k) from the suffix values for k <= j <= 12, and the suffix
+    # values as elementary symmetric sums for j <= 10
     with _criterion(7, "falling factorials expand through the suffix values"):
-        xs = [Fraction(p, q) for p in (-9, -4, -1, 2, 5, 7, 10, 13, 17, 23) for q in (2, 3)]
-        assert len(xs) == 20
-        for j in range(0, 13):
-            for k in range(0, j + 1):
-                for x in xs:
-                    assert falling_factorial_via_p0(j, k, x) == falling_factorial(x - k, j - k)
-        # P0[j, v](k) is the v-th elementary symmetric sum of the window
-        # {k, ..., j-1}, whose j - k entries are the shifts appearing in
-        # (x - k)(x - k - 1)...(x - j + 1).
-        for j in range(0, 11):
-            for v in range(0, j + 1):
-                for k in range(0, j + 1):
-                    assert p0_eval(j, v, k) == elementary_sum_oracle(j - 1, v, k), (j, v, k)
+        _assert_checks_pass(check_result, "falling-factorial-expansion", "elementary-sum-equivalence")
 
 
-def test_criterion_08_alpha_tables_and_coefficient_limits():
+def test_criterion_08_alpha_tables_and_coefficient_limits(check_result):
+    # alpha tables for k <= 8, N <= 40, all n; coefficient limits against the
+    # limit polynomial for 2 <= k <= 9
     with _criterion(8, "alpha tables reconstruct exactly; coefficients agree in the limit"):
-        for k in range(0, 9):
-            table = alpha_coefficients(k)
-            for N in range(max(k, 1), 41):
-                for n in range(0, N + 1):
-                    assert table.corr(N, n) == corr_exact(k, N, n), (k, N, n)
-        # polynomial identity in f: sum_v coefficient_limit(k, v) f^(k-v)
-        # equals the order-k limit polynomial
-        g = Poly([0, -1, 1])  # f(f-1)
-        for k in range(2, 10):
-            total = Poly.ZERO
-            for v in range(k + 1):
-                total = total + coefficient_limit(k, v) * Poly.X ** (k - v)
-            if k % 2 == 0:
-                expected = normal_moment(k) * g ** (k // 2)
-            else:
-                constant = Fraction(k - 1, 3) * normal_moment(k + 1)
-                expected = constant * g ** ((k - 1) // 2) * Poly([-1, 2])
-            assert total == expected, k
+        _assert_checks_pass(check_result, "alpha-table-reconstruction", "coefficient-sum-identity")
 
 
-def test_criterion_09_identity_suite_is_green():
+def test_criterion_09_identity_suite_is_green(check_result):
     with _criterion(9, "alternating-sum identity suite"):
-        results = run_suite("exactnum")
-        by_name = {r.identity: r for r in results}
-        required = [
+        _assert_checks_pass(
+            check_result,
             "stirling2-alternating-power-sum",
             "power-sum-closed-form",
             "unit-step-binomial-sum",
@@ -164,11 +116,8 @@ def test_criterion_09_identity_suite_is_green():
             "gamma-ratio-binomial-sum",
             "weighted-gamma-ratio-sum",
             "affine-fraction-sum-closed-form",
-        ]
-        for name in required:
-            assert name in by_name, name
-            assert by_name[name].passed, (name, by_name[name].detail)
-        assert all(r.passed for r in results)
+        )
+        _assert_checks_pass(check_result, *(check.identity for check in CHECKS if check.suite == "exactnum"))
 
 
 def test_criterion_10_monte_carlo_brackets_and_reproduces():

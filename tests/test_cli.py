@@ -168,7 +168,7 @@ def test_csv_out_is_rfc4180_parseable(tmp_path, capsys):
     import io
 
     rows = list(csvmod.reader(io.StringIO(target.read_text())))
-    assert rows[0] == ["suite", "identity", "params", "passed", "detail"]
+    assert rows[0] == ["suite", "identity", "params", "passed", "cases", "detail"]
     assert all(row[3] == "true" for row in rows[1:])
 
 

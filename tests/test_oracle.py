@@ -95,32 +95,6 @@ def test_sample_srs_shape():
     assert sample_srs(5, 5, rng).members == (0, 1, 2, 3, 4)
 
 
-def test_sample_srs_consumes_exactly_n_draws():
-    class Counting(SplitMix64):
-        calls = 0
-
-        def next_below(self, bound):
-            type(self).calls += 1
-            return super().next_below(bound)
-
-    rng = Counting(3)
-    sample_srs(10, 4, rng)
-    assert Counting.calls == 4
-
-
-def test_sample_srs_is_roughly_uniform_over_subsets():
-    # N = 5, n = 2: 10 subsets, 4000 draws, expect 400 each; a 5-sigma band
-    # around the binomial count is ~ 400 +/- 95.
-    rng = SplitMix64(2024)
-    counts: dict[tuple, int] = {}
-    for _ in range(4000):
-        s = sample_srs(5, 2, rng)
-        counts[s.members] = counts.get(s.members, 0) + 1
-    assert len(counts) == 10
-    for c in counts.values():
-        assert abs(c - 400) < 95
-
-
 def _dense_fisher_yates(N, n, rng):
     perm = list(range(N))
     for i in range(n):
@@ -186,13 +160,6 @@ def test_brute_force_corr_known_value():
     assert brute_force_corr(2, 6, 3) == Fraction(-1, 20)
 
 
-def test_brute_force_matches_exact_formula():
-    for N in range(1, 11):
-        for n in range(0, N + 1):
-            for k in range(0, min(N, 5) + 1):
-                assert brute_force_corr(k, N, n) == corr_exact(k, N, n), (k, N, n)
-
-
 def test_brute_force_is_exchangeable_in_the_unit_set():
     # Corr(k) must not depend on which k units are tracked.
     for members in [(0, 1, 2), (3, 5, 7), (1, 4, 8), (6, 7, 8)]:
@@ -215,13 +182,6 @@ def test_brute_force_respects_enumeration_budget():
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimator
-
-
-def test_monte_carlo_is_bit_reproducible():
-    a = monte_carlo_corr(2, 10, 5, trials=20000, seed=DEFAULT_MC_SEED)
-    b = monte_carlo_corr(2, 10, 5, trials=20000, seed=DEFAULT_MC_SEED)
-    assert a == b
-    assert a.mean == b.mean and a.stderr == b.stderr
 
 
 def test_monte_carlo_depends_on_seed():

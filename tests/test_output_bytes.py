@@ -32,10 +32,10 @@ _PINNED_OUTPUTS = [
     ("scan --k 2 --f 1/100 --grid 2,3 --format csv", "48b41eeef88e5a34f932ce4fd730336c78beb8d65390b765da0a7b62d21e539d"),
     ("mc --k 3 --N 50 --n 20 --trials 5000 --seed 7", "ba15c4f2febacb956440d956a5d2b6b4774c8cd25b40720a6f0c06d505e60c13"),
     ("ppoly --k 8 --m 3", "6359f33712afc15e992b20abf7b5ddbc613cb4872455cc9af97d02571731197f"),
-    ("verify --suite exactnum --max-k 3", "03ce3be2cd2eef7a0d0b2ae3118828d2a912c29031cfcb8552bc585c515fdb90"),
+    ("verify --suite exactnum --max-k 3", "eab43778acac19fd43bf0b527fdd43604aa42e854125ab1f31a6beef45adcff5"),
     ("mc --k 3 --N 50 --n 20 --trials 5000 --seed 7 --format csv", "17b2620364140448a92d82bc8d58bce6488344355d274208db653e3a88765e96"),
     ("ppoly --k 8 --m 3 --format csv", "183448dd9d1cb9290e0803824647c9bfee5f1733f10fd5a139614fd6eb33ee13"),
-    ("verify --suite exactnum --max-k 3 --format csv", "e385b5267ada875dfa9297a69ebc7df818272989c2e7559dbe9ec843c3cb01c5"),
+    ("verify --suite exactnum --max-k 3 --format csv", "b196241f242954cacca20c106ec3454ce90b4fffeba699a083f0003f82df916c"),
 ]
 
 

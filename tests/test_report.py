@@ -171,7 +171,9 @@ _RECORDS = {
     PolyRecord: st.builds(
         PolyRecord, k=_ints, m=_ints, degree=_ints, coefficients=st.lists(_rationals, max_size=4).map(tuple)
     ),
-    CheckResult: st.builds(CheckResult, suite=_text, identity=_text, params=_text, passed=st.booleans(), detail=_text),
+    CheckResult: st.builds(
+        CheckResult, suite=_text, identity=_text, params=_text, passed=st.booleans(), cases=_ints, detail=_text
+    ),
 }
 
 
@@ -213,5 +215,5 @@ def test_parse_corr_and_mc_rows_accept_lines_and_row_dicts():
 def test_csv_quotes_a_report_with_a_lone_carriage_return():
     result = CheckResult(suite="s", identity="i", params="p", passed=True, detail="a\rb")
     text = emit_report([result], "csv")
-    assert text.splitlines()[0] == '"suite","identity","params","passed","detail"'
+    assert text.splitlines()[0] == '"suite","identity","params","passed","cases","detail"'
     assert _parse_document(CheckResult, text, "csv") == [result]
