@@ -26,6 +26,7 @@ import argparse
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 from math import floor
 
 from .correlation import CorrRecord, LimitSpec, convergence_scan, evaluate_correlation, limit_spec
@@ -125,6 +126,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The parser ``run`` uses, built on the first call rather than at import, so
+# importing the package does not pay for it; ``parse_args`` leaves it
+# unchanged, so every call can share it.
+_shared_parser = cache(build_parser)
+
+
 def _scan(ns) -> list[CorrRecord]:
     grid = ns.grid if ns.grid is not None else ns.grid_geom
     with warnings.catch_warnings(record=True) as caught:
@@ -155,9 +162,8 @@ _VERBS = {
 def run(argv) -> int:
     """Entry point with explicit argv (no implicit globals); returns the
     process exit code instead of raising SystemExit."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -7,10 +7,16 @@ f = n/N the sampling fraction.  The k-th order inclusion correlation is
 
     Corr(k) = E prod_{A in H} (1_A - f)        for any k distinct units H,
 
-which by exchangeability depends on H only through k.  ``corr_exact``
-computes it exactly from the hypergeometric moment expansion
+which by exchangeability depends on H only through k.  It is defined by the
+hypergeometric moment expansion
 
     Corr(k) = sum_{j=0}^{k} C(k, j) (n)_j / (N)_j (-n/N)^(k-j).
+
+``corr_exact`` evaluates that sum over its common denominator N^k (N)_k, which
+is non-zero for 0 <= k <= N: term j times N^k (N)_k is the integer
+C(k, j) (n)_j N^j (N-j)_(k-j) (-n)^(k-j), so the numerator is one integer sum
+and the canonical ``Fraction`` costs one gcd.  The result is the same rational
+as the term-by-term sum, exactly.
 
 Scaled limits (``theorem_limit``): with f fixed and e(k) the parity exponent
 (k+1)//2, the sequence N^e(k) Corr(k) converges to
@@ -31,7 +37,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, perm
 
 from .errors import DomainError
 from .exactnum import binomial, falling_factorial, normal_moment
@@ -59,6 +65,18 @@ def corr_exact(k: int, N: int, n: int) -> Fraction:
     Valid for 0 <= k <= N and 0 <= n <= N; k may exceed n (the falling
     factorial (n)_j kills the overweight terms).  Corr(0) = 1 and
     Corr(1) = 0 for every design.
+
+    The moment expansion is summed in integers over its common denominator
+    N^k (N)_k (see the module docstring):
+
+        num = sum_j head_j tail_j,  head_j = C(k, j) (n)_j N^j,
+                                    tail_j = (N-j)_(k-j) (-n)^(k-j).
+
+    Each head follows from the previous one, head_j = head_(j-1)
+    (k-j+1) (n-j+1) N / j, where the division is exact because
+    j C(k, j) = (k-j+1) C(k, j-1); the tails, tail_(j-1) = tail_j (N-j+1)(-n),
+    are applied by Horner's rule.  Only integers are multiplied, and the
+    ``Fraction`` reduces the quotient once.
     """
     if N < 1:
         raise DomainError(f"corr_exact requires N >= 1, got N={N}")
@@ -66,13 +84,11 @@ def corr_exact(k: int, N: int, n: int) -> Fraction:
         raise DomainError(f"corr_exact requires 0 <= n <= N, got n={n}, N={N}")
     if not 0 <= k <= N:
         raise DomainError(f"corr_exact requires 0 <= k <= N, got k={k}, N={N}")
-    f = Fraction(n, N)
-    total = Fraction(0)
-    for j in range(k + 1):
-        c = binomial(k, j)
-        ratio = falling_factorial(n, j) / falling_factorial(N, j)
-        total += c * ratio * (-f) ** (k - j)
-    return total
+    num = head = 1
+    for j in range(1, k + 1):
+        head = head * (k - j + 1) // j * (n - j + 1) * N
+        num = num * (N - j + 1) * -n + head
+    return Fraction(num, N**k * perm(N, k))
 
 
 def parity_exponent(k: int) -> int:

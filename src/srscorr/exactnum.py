@@ -148,14 +148,11 @@ def binomial(n: int, k: int) -> int:
 
 
 def falling_factorial(x: Fraction | int, j: int) -> Fraction:
-    """(x)_j = x (x-1) ... (x-j+1), with (x)_0 = 1."""
+    """(x)_j = x (x-1) ... (x-j+1), with (x)_0 = 1.  The factors keep the
+    type of x, so an int x is multiplied out in integers."""
     if j < 0:
         raise DomainError(f"falling_factorial requires j >= 0, got j={j}")
-    out = Fraction(1)
-    x = Fraction(x)
-    for i in range(j):
-        out *= x - i
-    return out
+    return Fraction(math.prod(x - i for i in range(j)))
 
 
 @cache

@@ -223,6 +223,17 @@ def test_help_exits_zero(capsys):
 # exit codes
 
 
+_CORR_2_10_5 = (
+    '{"k": 2, "N": 10, "n": 5, "f": "1/2", "corr": "-1/36", "scaled": "-5/18", '
+    '"scaled_decimal": "-0.277777777778", "limit": "-1/4", "abs_error_decimal": "0.027777777778"}\n'
+)
+_SCAN_4_CSV = (
+    "k,N,n,f,corr,scaled,scaled_decimal,limit,abs_error_decimal\n"
+    "4,100,40,2/5,586/32676875,9376/52283,0.179331713941,108/625,0.006531713941\n"
+    "4,200,80,2/5,1186/269520625,75904/431233,0.176016213972,108/625,0.003216213972\n"
+)
+
+
 def test_usage_errors_exit_1(capsys):
     bad_argvs = [
         [],  # no verb
@@ -241,6 +252,11 @@ def test_usage_errors_exit_1(capsys):
         err = capsys.readouterr().err
         assert code == 1, argv
         assert err != "", argv
+    # run() reuses one parser; after the usage errors it still prints what a
+    # fresh process prints (the pinned bytes below)
+    scan = ["scan", "--k", "4", "--f", "2/5", "--grid", "100,200", "--format", "csv"]
+    assert run_cli(capsys, "corr", "--k", "2", "--N", "10", "--n", "5") == (0, _CORR_2_10_5, "")
+    assert run_cli(capsys, *scan) == (0, _SCAN_4_CSV, "")
 
 
 def test_computation_errors_exit_2(capsys):

@@ -3,8 +3,11 @@ the alpha-coefficient table, and the convergence scan."""
 
 import warnings
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from srscorr.correlation import (
     AlphaTable,
@@ -20,7 +23,7 @@ from srscorr.correlation import (
     theorem_limit,
 )
 from srscorr.errors import DomainError
-from srscorr.exactnum import normal_moment
+from srscorr.exactnum import binomial, falling_factorial
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +55,47 @@ def test_corr_exact_domain_errors():
         corr_exact(6, 5, 2)  # k may not exceed the population size
 
 
+def _moment_expansion(k, N, n):
+    """The moment expansion, the definition of Corr(k), summed term by term
+    in ``Fraction``s: a reference that shares no arithmetic with the integer
+    common-denominator sum in ``corr_exact``."""
+    f = Fraction(n, N)
+    total = Fraction(0)
+    for j in range(k + 1):
+        c = binomial(k, j)
+        ratio = falling_factorial(n, j) / falling_factorial(N, j)
+        total += c * ratio * (-f) ** (k - j)
+    return total
+
+
+@st.composite
+def _designs(draw):
+    N = draw(st.integers(1, 10**7))
+    n = draw(st.integers(0, N))
+    k = draw(st.integers(0, min(N, 40)))
+    return k, N, n
+
+
+_alpha_table = cache(alpha_coefficients)
+
+
+@given(_designs())
+@example((0, 9_876_543, 3_950_617))  # k = 0
+@example((1, 9_876_543, 3_950_617))  # k = 1
+@example((7, 7, 3))  # k = N
+@example((5, 12, 0))  # n = 0
+@example((5, 12, 12))  # n = N
+@example((9, 30, 4))  # k > n
+@example((40, 10**7, 10**7 - 1))  # largest order at the largest population
+def test_corr_exact_matches_moment_expansion_symmetry_and_alpha_table(design):
+    k, N, n = design
+    value = corr_exact(k, N, n)
+    assert value == _moment_expansion(k, N, n)
+    assert value == (-1) ** k * corr_exact(k, N, N - n)
+    if k <= 12:
+        assert value == _alpha_table(k).corr(N, n)
+
+
 # ---------------------------------------------------------------------------
 # limits
 
@@ -67,28 +111,6 @@ def test_theorem_limit_known_values():
     assert theorem_limit(3, third) == Fraction(4, 27)
     assert theorem_limit(0, half) == 1
     assert theorem_limit(1, half) == 0
-
-
-def test_theorem_limit_closed_forms():
-    # even k: (f(f-1))^{k/2} (k-1)!!; odd k: (f(f-1))^{(k-1)/2} (2f-1)
-    # times (k-1)/3 times k!! ... spelled out explicitly below.
-    for f in [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]:
-        g = f * (f - 1)
-        assert theorem_limit(2, f) == g
-        assert theorem_limit(3, f) == 2 * g * (2 * f - 1)
-        assert theorem_limit(4, f) == 3 * g**2
-        assert theorem_limit(5, f) == 20 * g**2 * (2 * f - 1)
-        assert theorem_limit(6, f) == 15 * g**3
-        assert theorem_limit(7, f) == 210 * g**3 * (2 * f - 1)
-        assert theorem_limit(8, f) == 105 * g**4
-        assert theorem_limit(9, f) == 2520 * g**4 * (2 * f - 1)
-
-
-def test_theorem_limit_constants_from_gaussian_moments():
-    assert [normal_moment(k) for k in (2, 4, 6, 8)] == [1, 3, 15, 105]
-    for k in (3, 5, 7, 9):
-        constant = Fraction(k - 1, 3) * normal_moment(k + 1)
-        assert constant == {3: 2, 5: 20, 7: 210, 9: 2520}[k]
 
 
 def test_theorem_limit_rejects_boundary_fractions():

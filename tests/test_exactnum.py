@@ -111,9 +111,17 @@ def test_falling_factorial_values():
 
 
 def test_falling_factorial_recurrence_and_errors():
-    x = Fraction(13, 3)
-    for j in range(1, 8):
-        assert falling_factorial(x, j) == falling_factorial(x, j - 1) * (x - (j - 1))
+    # (x)_0 = 1 and (x)_j = (x)_(j-1) (x-j+1) define (x)_j; checked for
+    # negative, zero, 0 <= x < j (a zero factor) and large ints, and for
+    # non-integer and integral fractions
+    xs = [-9, -1, 0, 1, 3, 7, 40, 9_876_543, 10**30 + 7]
+    xs += [Fraction(-7, 2), Fraction(1, 3), Fraction(13, 3), Fraction(10**20 + 1, 7), Fraction(6)]
+    for x in xs:
+        assert falling_factorial(x, 0) == 1
+        for j in range(1, 42):
+            value = falling_factorial(x, j)
+            assert type(value) is Fraction
+            assert value == falling_factorial(x, j - 1) * (x - (j - 1)), (x, j)
     with pytest.raises(DomainError):
         falling_factorial(2, -1)
 
