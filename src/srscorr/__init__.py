@@ -20,8 +20,6 @@ from .correlation import (
 )
 from .errors import DomainError, EnumerationBoundError, SrsCorrError
 from .exactnum import (
-    HalfInteger,
-    Rational,
     alternating_fraction_sum,
     bernoulli,
     binomial,

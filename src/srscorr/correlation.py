@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, perm
 
-from .errors import DomainError
+from .errors import DomainError, check_design
 from .exactnum import binomial, falling_factorial, normal_moment
 from .ppoly import p0_eval
 
@@ -78,12 +78,7 @@ def corr_exact(k: int, N: int, n: int) -> Fraction:
     are applied by Horner's rule.  Only integers are multiplied, and the
     ``Fraction`` reduces the quotient once.
     """
-    if N < 1:
-        raise DomainError(f"corr_exact requires N >= 1, got N={N}")
-    if not 0 <= n <= N:
-        raise DomainError(f"corr_exact requires 0 <= n <= N, got n={n}, N={N}")
-    if not 0 <= k <= N:
-        raise DomainError(f"corr_exact requires 0 <= k <= N, got k={k}, N={N}")
+    check_design("corr_exact", k, N, n)
     num = head = 1
     for j in range(1, k + 1):
         head = head * (k - j + 1) // j * (n - j + 1) * N

@@ -23,8 +23,6 @@ from functools import cache
 from .errors import DomainError
 
 __all__ = [
-    "Rational",
-    "HalfInteger",
     "binomial",
     "falling_factorial",
     "stirling_first_unsigned",
@@ -37,16 +35,10 @@ __all__ = [
     "gamma_ratio",
     "alternating_fraction_sum",
     "kronecker_delta",
-    "unit_step",
     "parse_rational",
     "rational_str",
     "int_str",
 ]
-
-# The package-wide exact scalar type.  ``fractions.Fraction`` already keeps
-# numerator/denominator in lowest terms with a positive denominator, which is
-# exactly the canonical form the serialization layer relies on.
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -83,59 +75,9 @@ def int_str(value: int) -> str:
         return str(Decimal(value))
 
 
-class HalfInteger:
-    """An integer or half-integer, stored exactly as twice its value.
-
-    The Gamma-ratio routines only admit arguments on the half-integer
-    lattice; this type makes that restriction explicit instead of hiding it
-    in a runtime denominator check scattered across call sites.
-    """
-
-    __slots__ = ("twice_value",)
-
-    def __init__(self, twice_value: int):
-        if not isinstance(twice_value, int):
-            raise DomainError(f"twice_value must be an int, got {twice_value!r}")
-        self.twice_value = twice_value
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "HalfInteger":
-        q = Fraction(value)
-        if q.denominator not in (1, 2):
-            raise DomainError(f"{q} is neither an integer nor a half-integer")
-        return cls(int(q * 2))
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice_value, 2)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_value % 2 == 0
-
-    @property
-    def is_positive(self) -> bool:
-        return self.twice_value > 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HalfInteger):
-            return self.twice_value == other.twice_value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("HalfInteger", self.twice_value))
-
-    def __repr__(self) -> str:
-        return f"HalfInteger({self.twice_value}/2 = {self.as_fraction()})"
-
-
 def kronecker_delta(n: int) -> int:
     """delta(n): 1 at n == 0, else 0."""
     return 1 if n == 0 else 0
-
-
-def unit_step(n: int) -> int:
-    """u(n): 1 for n >= 0, else 0."""
-    return 1 if n >= 0 else 0
 
 
 def binomial(n: int, k: int) -> int:
@@ -260,29 +202,31 @@ def double_factorial_odd(t: int) -> int:
     return out
 
 
-def gamma_ratio(m: int, beta: HalfInteger | Fraction | int) -> Fraction:
+def _half_lattice(value: Fraction | int) -> Fraction:
+    """``value`` as a Fraction, if it is an integer or a half-integer."""
+    q = Fraction(value)
+    if q.denominator not in (1, 2):
+        raise DomainError(f"{q} is neither an integer nor a half-integer")
+    return q
+
+
+def gamma_ratio(m: int, beta: Fraction | int) -> Fraction:
     """Gamma(m) Gamma(beta) / Gamma(m + beta) as an exact rational.
 
-    Requires m >= 1 and beta a positive integer or half-integer; on that
-    lattice the square roots of pi coming from Gamma at half-integers cancel
-    between numerator and denominator, so the ratio is rational:
+    Requires m >= 1 and beta a positive integer or half-integer.  For integer
+    m, Gamma(m + beta) = Gamma(beta) beta (beta+1) ... (beta+m-1), so the
+    ratio is (m-1)! over that rising product; with beta = p/q it is the
+    integer quotient
 
-    * integer beta = b:     (m-1)! (b-1)! / (m+b-1)!
-    * half-int beta = b+1/2: (m-1)! 2^m (2b-1)!! / (2(m+b)-1)!!
+        (m-1)! q^m / prod_{i=0}^{m-1} (p + i q).
     """
     if m < 1:
         raise DomainError(f"gamma_ratio requires m >= 1, got m={m}")
-    if not isinstance(beta, HalfInteger):
-        beta = HalfInteger.from_rational(beta)
-    if not beta.is_positive:
-        raise DomainError(f"gamma_ratio requires beta > 0, got beta={beta.as_fraction()}")
-    if beta.is_integer:
-        b = beta.twice_value // 2
-        return Fraction(math.factorial(m - 1) * math.factorial(b - 1), math.factorial(m + b - 1))
-    b = (beta.twice_value - 1) // 2
-    num = math.factorial(m - 1) * 2**m * double_factorial_odd(2 * b - 1)
-    den = double_factorial_odd(2 * (m + b) - 1)
-    return Fraction(num, den)
+    beta = _half_lattice(beta)
+    if beta <= 0:
+        raise DomainError(f"gamma_ratio requires beta > 0, got beta={beta}")
+    p, q = beta.numerator, beta.denominator
+    return Fraction(math.factorial(m - 1) * q**m, math.prod(p + i * q for i in range(m)))
 
 
 def alternating_fraction_sum(
@@ -306,10 +250,9 @@ def alternating_fraction_sum(
     alpha, delta, gamma, beta = (Fraction(x) for x in (alpha, delta, gamma, beta))
     if gamma == 0:
         raise DomainError("alternating_fraction_sum requires gamma != 0")
-    ratio = beta / gamma
-    half = HalfInteger.from_rational(ratio)  # raises DomainError off the lattice
-    if not half.is_positive:
+    ratio = _half_lattice(beta / gamma)
+    if ratio <= 0:
         raise DomainError(f"alternating_fraction_sum requires beta/gamma > 0, got {ratio}")
     out = (alpha / gamma) * kronecker_delta(m - 1)
-    out += gamma_ratio(m, half) * (delta - alpha * ratio) / gamma * unit_step(m - 1)
+    out += gamma_ratio(m, ratio) * (delta - alpha * ratio) / gamma
     return out

@@ -40,7 +40,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBoundError
+from .errors import DomainError, EnumerationBoundError, check_design
 
 __all__ = [
     "SplitMix64",
@@ -142,12 +142,7 @@ def sample_srs(N: int, n: int, rng: SplitMix64) -> SampleSubset:
 def hypergeom_inclusion_prob(k: int, N: int, n: int) -> Fraction:
     """P(k fixed units all fall in the sample) = C(N-k, n-k) / C(N, n),
     which is 0 when k > n."""
-    if N < 1:
-        raise DomainError(f"hypergeom_inclusion_prob requires N >= 1, got N={N}")
-    if not 0 <= n <= N:
-        raise DomainError(f"hypergeom_inclusion_prob requires 0 <= n <= N, got n={n}, N={N}")
-    if not 0 <= k <= N:
-        raise DomainError(f"hypergeom_inclusion_prob requires 0 <= k <= N, got k={k}, N={N}")
+    check_design("hypergeom_inclusion_prob", k, N, n)
     if k > n:
         return Fraction(0)
     return Fraction(comb(N - k, n - k), comb(N, n))
@@ -279,12 +274,7 @@ def monte_carlo_corr(k: int, N: int, n: int, trials: int, seed: int = DEFAULT_MC
     """
     if trials < 1:
         raise DomainError(f"monte_carlo_corr requires trials >= 1, got {trials}")
-    if N < 1:
-        raise DomainError(f"monte_carlo_corr requires N >= 1, got N={N}")
-    if not 0 <= n <= N:
-        raise DomainError(f"monte_carlo_corr requires 0 <= n <= N, got n={n}, N={N}")
-    if not 0 <= k <= N:
-        raise DomainError(f"monte_carlo_corr requires 0 <= k <= N, got k={k}, N={N}")
+    check_design("monte_carlo_corr", k, N, n)
     if N >= 1 << 64:  # the lockstep sampler holds positions and bounds in uint64
         raise DomainError(f"monte_carlo_corr requires N < 2^64, got N={N}")
     hist = _intersection_histogram(k, N, n, trials, seed)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import DomainError
-from .exactnum import parse_rational, power_sum_coefficients, rational_str
+from .exactnum import power_sum_coefficients
 
 __all__ = [
     "Poly",
@@ -150,14 +150,6 @@ class Poly:
     def shifted(self, a) -> "Poly":
         """p(x + a)."""
         return self.compose(Poly([a, 1]))
-
-    def coeff_strings(self) -> list[str]:
-        """Canonical serialization: list of 'p/q' strings, lowest degree first."""
-        return [rational_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items) -> "Poly":
-        return cls([parse_rational(s) for s in items])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):

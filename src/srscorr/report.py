@@ -119,7 +119,12 @@ MC_COLUMNS = columns_of(McEstimate)
 
 def row_to_obj(row, precision: int) -> dict:
     """Flatten a record into an ordered plain dict of JSON-safe values; a
-    plain dict row is passed through as it is."""
+    plain dict row is passed through as it is.
+
+    The passthrough has a caller outside the package: the benchmark's ppoly
+    check (``perfbench/checks.py``, ``_check_ppoly``) re-emits a plain dict,
+    so removing it would fail every ppoly op of the poly-tables and
+    cli-coldstart workloads."""
     if isinstance(row, dict):
         return dict(row)
     schema = SCHEMAS.get(type(row))

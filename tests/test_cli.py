@@ -15,7 +15,7 @@ import pytest
 from srscorr import cli
 from srscorr.correlation import LimitSpec, evaluate_correlation, limit_spec
 from srscorr.oracle import DEFAULT_MC_SEED, monte_carlo_corr
-from srscorr.ppoly import Poly, p_poly
+from srscorr.ppoly import PolyRecord, p_poly
 from srscorr.report import parse_corr_row, parse_mc_row, parse_row
 from srscorr.verify import CheckResult
 
@@ -97,9 +97,9 @@ def test_scan_warns_and_continues_on_degenerate_sizes(capsys):
 def test_ppoly_verb_round_trips_coefficients(capsys):
     code, out, _ = run_cli(capsys, "ppoly", "--k", "6", "--m", "2")
     assert code == 0
-    obj = json.loads(out)
-    assert obj["degree"] == 4
-    assert Poly.from_strings(obj["coefficients"]) == p_poly(6, 2)
+    record = parse_row(PolyRecord, out)
+    assert record.degree == 4
+    assert record.coefficients == p_poly(6, 2).coeffs
 
 
 def test_mc_verb_is_reproducible_and_matches_library(capsys):

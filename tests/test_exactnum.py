@@ -10,7 +10,6 @@ import pytest
 
 from srscorr.errors import DomainError
 from srscorr.exactnum import (
-    HalfInteger,
     alternating_fraction_sum,
     bernoulli,
     binomial,
@@ -67,18 +66,6 @@ def test_rational_text_has_no_digit_limit():
     assert parse_rational("+" + text[1:]) == -q
     assert int_str(10**5000) == "1" + "0" * 5000
     assert int_str(-(10**5000)) == "-1" + "0" * 5000
-
-
-def test_half_integer_lattice():
-    assert HalfInteger.from_rational(Fraction(3, 2)).twice_value == 3
-    assert HalfInteger.from_rational(2).twice_value == 4
-    assert HalfInteger(5).as_fraction() == Fraction(5, 2)
-    assert HalfInteger(4).is_integer
-    assert not HalfInteger(3).is_integer
-    assert HalfInteger(1).is_positive
-    assert not HalfInteger(0).is_positive
-    with pytest.raises(DomainError):
-        HalfInteger.from_rational(Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------

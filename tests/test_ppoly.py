@@ -71,12 +71,6 @@ def test_poly_compose_and_shift():
         assert q.compose(p)(x) == q(p(x))
 
 
-def test_poly_coeff_strings_round_trip():
-    p = Poly([Fraction(1, 3), -2, 0, Fraction(7, 5)])
-    assert p.coeff_strings() == ["1/3", "-2", "0", "7/5"]
-    assert Poly.from_strings(p.coeff_strings()) == p
-
-
 def test_poly_is_immutable_and_hashable():
     p = Poly([1, 2])
     with pytest.raises(AttributeError):

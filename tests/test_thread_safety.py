@@ -17,7 +17,7 @@ def _worker(shift: int):
                 stirling_first_unsigned(10, j),
                 stirling_second(11, j),
                 bernoulli(2 * j),
-                p_poly(9, min(j, 9)).coeff_strings(),
+                p_poly(9, min(j, 9)).coeffs,
                 p0_eval(9, min(j, 9), 1),
                 corr_exact(min(j, 5), 12, 5),
             )
