@@ -1,5 +1,5 @@
 """Dense exact polynomials and the weighted-prefix recursion family used to
-expand shifted falling factorials into powers.
+expand the falling factorials (x - k)_(j-k) into powers.
 
 The family is defined, for integers k >= 0, by
 
@@ -7,9 +7,13 @@ The family is defined, for integers k >= 0, by
     P[k, m](j) = sum_{q=1}^{k-m} q P[k, m-1](q+1)  -  sum_{q=1}^{j-1} q P[k, m-1](q+1)
 
 so each level is "total weighted prefix minus weighted prefix up to j".
-``p_poly`` materialises P[k, m] as an exact polynomial in j by pushing the
-prefix sums through Faulhaber's formula; ``p0_eval`` evaluates the companion
-suffix form
+``p_poly`` materialises P[k, m] as an exact polynomial in j.  The weighted
+prefix of a polynomial Q is one Faulhaber substitution, with no shift of Q:
+
+    sum_{q=1}^{j-1} q Q(q+1) = sum_m t_m (F_m(j) + j^m) + Q(0),
+
+where t = (x - 1) Q and F_m(j) = sum_{p=0}^{j-1} p^m.  ``p0_eval`` evaluates
+the companion suffix form
 
     P0[k, 0](j) = 1
     P0[k, m](j) = sum_{q=j}^{k-m} q P0[k, m-1](q+1)
@@ -33,7 +37,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .errors import DomainError
 from .exactnum import power_sum_coefficients
@@ -41,7 +44,6 @@ from .exactnum import power_sum_coefficients
 __all__ = [
     "Poly",
     "PolyRecord",
-    "PKey",
     "weighted_prefix_poly",
     "p_poly",
     "p0_eval",
@@ -49,15 +51,14 @@ __all__ = [
     "falling_factorial_via_p0",
 ]
 
-# Cache key for the polynomial family: (k, m).
-PKey = tuple[int, int]
-
 
 class Poly:
     """Immutable dense polynomial with exact rational coefficients.
 
     Coefficients are stored lowest degree first with trailing zeros stripped;
-    the zero polynomial is the empty tuple and reports degree -1.
+    the zero polynomial is the empty tuple and reports degree -1.  The
+    operations are evaluation, ``*`` by a polynomial or a scalar, ``**`` and
+    ``==``.
     """
 
     __slots__ = ("coeffs",)
@@ -88,32 +89,6 @@ class Poly:
             out = out * x + c
         return out
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
@@ -129,8 +104,6 @@ class Poly:
                 out[i + j] += a * b
         return Poly(out)
 
-    __rmul__ = __mul__
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError(f"Poly exponent must be a non-negative int, got {exponent!r}")
@@ -139,17 +112,6 @@ class Poly:
         for _ in range(exponent):
             out = out * base
         return out
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) via Horner over polynomials."""
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly([c])
-        return out
-
-    def shifted(self, a) -> "Poly":
-        """p(x + a)."""
-        return self.compose(Poly([a, 1]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -175,44 +137,32 @@ class Poly:
         return "Poly[" + " + ".join(terms) + "]"
 
 
-def _as_poly(value):
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly([value])
-    return NotImplemented
-
-
-Poly.ZERO = Poly()
-Poly.ONE = Poly([1])
-Poly.X = Poly([0, 1])
-
-
-@cache
-def _power_sum_poly(m: int) -> Poly:
-    """Polynomial F_m with F_m(j) = sum_{p=0}^{j-1} p^m for integer j >= 0."""
-    return Poly(power_sum_coefficients(m))
-
-
 def weighted_prefix_poly(q_poly: Poly) -> Poly:
     """Polynomial S with S(j) = sum_{q=1}^{j-1} q * q_poly(q+1) for every
-    integer j >= 1 (and S(0) = 0, matching the empty sum).
+    integer j >= 0 (S(0) = S(1) = 0, the empty sums).
 
-    Built exactly: expand t(x) = x * q_poly(x+1), then replace each power
-    x^m by its Faulhaber prefix-sum polynomial.  If q_poly has degree d, the
-    result has degree d + 2.
+    With u = q + 1 the summand is t(u) for t(x) = (x - 1) * q_poly(x), and
+    t(0) = -q_poly(0), t(1) = 0.  Faulhaber's F_m(j) = sum_{p=0}^{j-1} p^m
+    gives sum_{u=0}^{j} u^m = F_m(j) + j^m, so no shift is needed:
+
+        S(j) = sum_m t_m * (F_m(j) + j^m) + q_poly(0).
+
+    If q_poly has degree d, the result has degree d + 2.
     """
     if not isinstance(q_poly, Poly):
         raise DomainError(f"weighted_prefix_poly expects a Poly, got {q_poly!r}")
-    t = Poly.X * q_poly.shifted(1)
-    out = Poly()
-    for m, c in enumerate(t.coeffs):
-        if c != 0:
-            out = out + c * _power_sum_poly(m)
-    return out
+    q = (Fraction(0), *q_poly.coeffs, Fraction(0))  # q[m] is the coefficient of x^(m-1)
+    out = [q[1]] + [Fraction(0)] * (len(q) - 1)
+    for m in range(len(q) - 1):
+        t_m = q[m] - q[m + 1]  # coefficient of x^m in (x - 1) * q_poly
+        if t_m:
+            for i, c in enumerate(power_sum_coefficients(m)):
+                out[i] += t_m * c
+            out[m] += t_m
+    return Poly(out)
 
 
-_P_CACHE: dict[PKey, Poly] = {}
+_P_CACHE: dict[tuple[int, int], Poly] = {}
 
 
 def p_poly(k: int, m: int) -> Poly:
@@ -221,21 +171,24 @@ def p_poly(k: int, m: int) -> Poly:
     P[k, m] = (total weighted prefix over q = 1..k-m) - S(j) where S is the
     weighted prefix polynomial of P[k, m-1].  For m <= k the constant head
     equals S(k-m+1); for m > k the defining sum is empty, so the head is 0.
-    Results are memoised by (k, m).
+    Every level 0..m is memoised by (k, m); the chain is built in a loop from
+    the highest cached level, so no recursion depth grows with m.
     """
     if k < 0 or m < 0:
         raise DomainError(f"p_poly requires k, m >= 0, got ({k}, {m})")
-    key: PKey = (k, m)
-    hit = _P_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if m == 0:
-        poly = Poly.ONE
-    else:
-        s = weighted_prefix_poly(p_poly(k, m - 1))
-        head = s(k - m + 1) if k - m + 1 >= 0 else Fraction(0)
-        poly = Poly([head]) - s
-    _P_CACHE[key] = poly
+    level = m
+    poly = _P_CACHE.get((k, level))
+    while poly is None and level > 0:
+        level -= 1
+        poly = _P_CACHE.get((k, level))
+    if poly is None:
+        poly = _P_CACHE[(k, 0)] = Poly([1])
+    for level in range(level + 1, m + 1):
+        s = weighted_prefix_poly(poly)
+        head = s(k - level + 1) if k - level + 1 >= 0 else 0
+        coeffs = [-c for c in s.coeffs]  # S has degree >= 2, so this is never empty
+        coeffs[0] += head
+        poly = _P_CACHE[(k, level)] = Poly(coeffs)
     return poly
 
 

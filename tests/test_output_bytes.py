@@ -40,6 +40,9 @@ _PINNED_OUTPUTS = [
     ("corr --k 118 --N 9876543 --n 3950617 --format json --precision 80", "40a42ce7267569b7fe1b1ff199a37a5f0163661262341772a3bf7b0b10c41ffe"),
     ("scan --k 128 --f 37/97 --grid-geom 1234567:3/2:6 --format json --precision 12", "3b2c3da90fc9d1df2b62e73ff56b4712fefdc89325284527fa1f72429e4b7f28"),
     ("scan --k 128 --f 37/97 --grid-geom 1234567:3/2:6 --format csv --precision 12", "539e6fac6fb5ae4ea0ae1779de663b78379855db70a13997996fc3ba9b988530"),
+    # benchmark scale for the recursion polynomials: degrees 32 and 38, as in perfbench's poly-tables
+    ("ppoly --k 60 --m 16", "eb592d70f8833fbe60853cdc03374c9037a49ee331ac7c662e6f2f6c231bdc55"),
+    ("ppoly --k 24 --m 19 --format csv", "e675bede0b9753d96a7b444472ecfcad04e6477a48cfd7e64a9fd9038a9b9ad9"),
 ]
 
 
