@@ -24,12 +24,13 @@ Scaled limits (``theorem_limit``): with f fixed and e(k) the parity exponent
     even k:  (f (f-1))^(k/2) E Z^k
     odd  k:  (f (f-1))^((k-1)/2) (2f - 1) ((k-1)/3) E Z^(k+1)
 
-where Z is standard normal.  ``alpha_coefficients`` expands N^k f^k-weighted
-numerators of Corr(k) into a table of integer coefficients of f-powers and
-N-powers (via the suffix-form recursion polynomials), and
-``coefficient_limit`` gives the limit of each scaled f-coefficient; summing
-those limits against powers of f recovers the theorem limit, a polynomial
-identity the verification suite checks exactly.
+where Z is standard normal.  ``alpha_coefficients`` expands Corr(k) (N)_k
+into integer coefficients of f-powers and N-powers, from the Stirling numbers
+of (n)_j (the suffix values P0[j, v](1) = c(j, j-v)) and the suffix-form
+recursion polynomials of (N-j)_(k-j).  ``coefficient_limit`` gives the limit
+of each scaled f-coefficient; summing those limits against powers of f
+recovers the theorem limit, a polynomial identity the verification suite
+checks exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from math import floor, perm
 
 from .errors import DomainError, check_design
-from .exactnum import binomial, falling_factorial, normal_moment
+from .exactnum import binomial, falling_factorial, normal_moment, stirling_first_unsigned
 from .ppoly import p0_eval
 
 __all__ = [
@@ -142,76 +143,62 @@ class AlphaTable:
 
         alpha(k, f) = sum_{v=0}^{k} f^(k-v) sum_{r=0}^{k} coeffs[v][r] N^r.
 
-    The table is built once per k from the suffix-form recursion polynomials
-    and is exact; reconstructing Corr through it is an independent route that
-    must agree with ``corr_exact`` on every admissible design.
-
-    ``alpha(k, f)`` is well-defined for any rational f in (0, 1), but only
-    fractions whose denominator divides N correspond to a realizable design
-    (n = f N must be an integer).
+    The table is built once per k from the Stirling numbers of (n)_j, which
+    are the suffix values P0[j, v](1) = c(j, j-v), and the suffix-form
+    recursion polynomials of (N-j)_(k-j).  It is exact; reconstructing Corr
+    through it is an independent route that must agree with ``corr_exact``
+    on every admissible design.
     """
 
     k: int
     coeffs: tuple[tuple[int, ...], ...]  # coeffs[v][r], both indices 0..k
 
-    def f_coefficient(self, v: int, N: int) -> Fraction:
+    def f_coefficient(self, v: int, N: int) -> int:
         """sum_r coeffs[v][r] N^r: the coefficient of f^(k-v) in alpha."""
         if not 0 <= v <= self.k:
             raise DomainError(f"f_coefficient requires 0 <= v <= {self.k}, got v={v}")
         total = 0
-        for r, c in enumerate(self.coeffs[v]):
-            if c:
-                total += c * N**r
-        return Fraction(total)
-
-    def alpha(self, f: Fraction, N: int) -> Fraction:
-        """alpha(k, f) evaluated at population size N."""
-        f = Fraction(f)
-        total = Fraction(0)
-        for v in range(self.k + 1):
-            inner = self.f_coefficient(v, N)
-            if inner:
-                total += f ** (self.k - v) * inner
+        for c in reversed(self.coeffs[v]):
+            total = total * N + c
         return total
 
     def corr(self, N: int, n: int) -> Fraction:
-        """Reconstruct Corr(k) = alpha(k, n/N) / (N)_k.  Requires N >= k so
-        the falling factorial in the denominator is non-zero."""
-        if N < self.k:
-            raise DomainError(f"AlphaTable.corr requires N >= k={self.k}, got N={N}")
-        if not 0 <= n <= N:
-            raise DomainError(f"AlphaTable.corr requires 0 <= n <= N, got n={n}, N={N}")
-        return self.alpha(Fraction(n, N), N) / falling_factorial(N, self.k)
+        """Reconstruct Corr(k) = alpha(k, n/N) / (N)_k as the integer sum
+        sum_v n^(k-v) N^v f_coefficient(v, N) over N^k (N)_k, reduced once."""
+        k = self.k
+        check_design("AlphaTable.corr", k, N, n)
+        num = sum(n ** (k - v) * N**v * self.f_coefficient(v, N) for v in range(k + 1))
+        return Fraction(num, N**k * falling_factorial(N, k))
 
 
 def alpha_coefficients(k: int) -> AlphaTable:
-    """Build the integer coefficient table of alpha(k, f).
+    """Build the integer coefficient table of alpha(k, f) = Corr(k) (N)_k.
 
-    Expand both falling factorials in the summand of the moment form through
-    the suffix recursion polynomials P0:
+    Each term of the moment form, times (N)_k, is
 
-        (fN)_j     = sum_v (-1)^v P0[j, v](1) (fN)^(j-v)
+        C(k, j) (n)_j (N-j)_(k-j) (-f)^(k-j),
+
+    and both falling factorials expand into powers through one row each:
+
+        (n)_j       = sum_v (-1)^v c(j, j-v) n^(j-v)
         (N-j)_(k-j) = sum_i (-1)^i P0[k, i](j) N^(k-j-i)
 
-    multiply by C(k, j) (-1)^j, apply the (-f)^k prefactor, and collect the
-    coefficient of f^(k-v) N^(k-v-i).  All entries are integers.
+    where c is the unsigned Stirling number of the first kind, the suffix
+    value P0[j, v](1) = c(j, j-v).  With n = fN, entry (v, i) of the rows'
+    product, times (-1)^(k-j) C(k, j), adds to the coefficient of
+    f^(k-v) N^(k-v-i).  All entries are integers.
     """
     if k < 0:
         raise DomainError(f"alpha_coefficients requires k >= 0, got k={k}")
     table = [[0] * (k + 1) for _ in range(k + 1)]
     for j in range(k + 1):
-        cj = binomial(k, j)
-        for v in range(j + 1):
-            pv = p0_eval(j, v, 1)
-            if pv == 0:
-                continue
-            for i in range(k - j + 1):
-                pi = p0_eval(k, i, j)
-                if pi == 0:
-                    continue
-                r = k - v - i
-                sign = -1 if (j + k + v + i) % 2 else 1
-                table[v][r] += sign * cj * pv * pi
+        scale = (-1) ** (k - j) * binomial(k, j)
+        head = [(-1) ** v * stirling_first_unsigned(j, j - v) for v in range(j + 1)]
+        tail = [(-1) ** i * p0_eval(k, i, j) for i in range(k - j + 1)]
+        for v, h in enumerate(head):
+            row = table[v]
+            for i, t in enumerate(tail):
+                row[k - v - i] += scale * h * t
     return AlphaTable(k=k, coeffs=tuple(tuple(row) for row in table))
 
 

@@ -157,10 +157,7 @@ def brute_force_corr(k: int, N: int, n: int, members=None) -> Fraction:
     {0, .., k-1}); by exchangeability the result must not depend on it.
     Refuses to run when C(N, n) exceeds ``ENUMERATION_BUDGET``.
     """
-    if N < 1:
-        raise DomainError(f"brute_force_corr requires N >= 1, got N={N}")
-    if not 0 <= n <= N:
-        raise DomainError(f"brute_force_corr requires 0 <= n <= N, got n={n}, N={N}")
+    check_design("brute_force_corr", k, N, n)
     if members is None:
         members = tuple(range(k))
     else:

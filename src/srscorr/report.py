@@ -177,10 +177,4 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return json.dumps(value)
-    return str(value)
+    return value if isinstance(value, str) else json.dumps(value)

@@ -53,6 +53,7 @@ from .ppoly import (
     falling_factorial_via_p0,
     p0_eval,
     p_poly,
+    weighted_prefix_poly,
 )
 
 __all__ = ["CHECKS", "Check", "CheckResult", "SUITE_NAMES", "run_suite"]
@@ -286,6 +287,19 @@ def _(r, top):
             poly = p_poly(k, m)
             for j in range(k + 1):
                 r.equal(poly(j), p0_eval(k, m, j), f"k={k} m={m} j={j}")
+
+
+@_check("ppoly", "weighted-prefix-direct-sum", "k <= {top}, m <= k, Q = P[k, m], 0 <= j <= k+1", 12)
+def _(r, top):
+    for k in range(top + 1):
+        for m in range(k + 1):
+            q_poly = p_poly(k, m)
+            prefix = weighted_prefix_poly(q_poly)
+            r.equal(prefix.degree, q_poly.degree + 2, f"k={k} m={m} degree")
+            direct = 0  # sum_{q=1}^{j-1} q Q(q+1)
+            for j in range(k + 2):
+                r.equal(prefix(j), direct, f"k={k} m={m} j={j}")
+                direct += j * q_poly(j + 1)
 
 
 @_check("ppoly", "leading-coefficients", "1 <= m <= k <= {top}", 12)

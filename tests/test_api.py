@@ -6,9 +6,9 @@ import re
 import pytest
 
 import srscorr
-from srscorr.correlation import corr_exact
+from srscorr.correlation import alpha_coefficients, corr_exact
 from srscorr.errors import DomainError
-from srscorr.oracle import hypergeom_inclusion_prob, monte_carlo_corr
+from srscorr.oracle import brute_force_corr, hypergeom_inclusion_prob, monte_carlo_corr
 
 
 def test_public_names_are_pinned():
@@ -27,6 +27,8 @@ def test_public_names_are_pinned():
 
 
 _DESIGN_FUNCTIONS = {
+    "AlphaTable.corr": lambda k, N, n: alpha_coefficients(k).corr(N, n),
+    "brute_force_corr": brute_force_corr,
     "corr_exact": corr_exact,
     "hypergeom_inclusion_prob": hypergeom_inclusion_prob,
     "monte_carlo_corr": lambda k, N, n: monte_carlo_corr(k, N, n, trials=1),

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from srscorr import ppoly
+from srscorr import correlation, ppoly
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +45,21 @@ def test_weighted_prefix_poly_calls_the_rebindable_faulhaber_kernel(monkeypatch)
     monkeypatch.setattr(ppoly, "power_sum_coefficients", lambda m: seen.append(m) or kernel(m))
     ppoly.weighted_prefix_poly(ppoly.Poly([1, 2, 3]))
     assert seen == [0, 1, 2, 3]
+
+
+def test_alpha_coefficients_calls_the_rebindable_suffix_kernel(monkeypatch):
+    # the span ppoly.p0_eval is recorded where correlation sees it
+    seen = []
+    kernel = correlation.p0_eval
+    monkeypatch.setattr(correlation, "p0_eval", lambda *args: seen.append(args) or kernel(*args))
+    correlation.alpha_coefficients(6)
+    assert seen
+
+
+def test_alpha_table_corr_calls_the_rebindable_falling_factorial(monkeypatch):
+    # the span exactnum.falling_factorial is recorded where correlation sees it
+    seen = []
+    kernel = correlation.falling_factorial
+    monkeypatch.setattr(correlation, "falling_factorial", lambda *args: seen.append(args) or kernel(*args))
+    correlation.alpha_coefficients(3).corr(10, 4)
+    assert seen == [(10, 3)]

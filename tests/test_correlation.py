@@ -87,13 +87,13 @@ _alpha_table = cache(alpha_coefficients)
 @example((5, 12, 12))  # n = N
 @example((9, 30, 4))  # k > n
 @example((40, 10**7, 10**7 - 1))  # largest order at the largest population
+@example((60, 1_000_003, 400_001))  # the benchmark's largest alpha order
 def test_corr_exact_matches_moment_expansion_symmetry_and_alpha_table(design):
     k, N, n = design
     value = corr_exact(k, N, n)
     assert value == _moment_expansion(k, N, n)
     assert value == (-1) ** k * corr_exact(k, N, N - n)
-    if k <= 12:
-        assert value == _alpha_table(k).corr(N, n)
+    assert value == _alpha_table(k).corr(N, n)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_alpha_table_order_two():
     # alpha(2) = N f (f - 1): one N-linear term per power of f.
     assert table.f_coefficient(0, 7) == 7
     assert table.f_coefficient(1, 7) == -7
-    assert table.alpha(Fraction(1, 2), 10) == Fraction(-5, 2)
+    assert table.corr(10, 5) == Fraction(-1, 36)
 
 
 def test_alpha_table_requires_population_at_least_k():

@@ -17,7 +17,7 @@ def test_registry_check(identity, check_result):
 
 def test_registry_is_grouped_by_suite_with_unique_identities():
     assert SUITE_NAMES == ("exactnum", "ppoly", "correlation", "oracle")
-    assert len({check.identity for check in CHECKS}) == len(CHECKS) == 32
+    assert len({check.identity for check in CHECKS}) == len(CHECKS) == 33
     assert [check.suite for check in CHECKS] == sorted((c.suite for c in CHECKS), key=SUITE_NAMES.index)
 
 
