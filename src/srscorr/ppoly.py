@@ -18,9 +18,9 @@ the companion suffix form
     P0[k, 0](j) = 1
     P0[k, m](j) = sum_{q=j}^{k-m} q P0[k, m-1](q+1)
 
-pointwise by direct recursion.  The two agree on 0 <= j <= k, which is one of
-the cross-checks wired into the verification suite.  The payoff of the family
-is the expansion
+as integer rows P0[k, m](0..k-m), each a running suffix sum of the row above.
+The two agree on 0 <= j <= k, which is one of the cross-checks wired into the
+verification suite.  The payoff of the family is the expansion
 
     (x - k)_(j-k) = sum_{v=0}^{j-k} (-1)^v P0[j, v](k) x^(j-k-v)
 
@@ -162,7 +162,28 @@ def weighted_prefix_poly(q_poly: Poly) -> Poly:
     return Poly(out)
 
 
+def _chain(cache: dict, k: int, m: int, first, step):
+    """Level m of the family ``cache`` holds by (k, level), built in a loop from
+    the highest cached level <= m (or ``first(k)`` at level 0) with
+    ``step(k, level, level_below)``; every level is memoised."""
+    level = m
+    while (value := cache.get((k, level))) is None and level > 0:
+        level -= 1
+    if value is None:
+        value = cache[(k, 0)] = first(k)
+    for level in range(level + 1, m + 1):
+        value = cache[(k, level)] = step(k, level, value)
+    return value
+
+
 _P_CACHE: dict[tuple[int, int], Poly] = {}
+
+
+def _p_step(k: int, m: int, below: Poly) -> Poly:
+    s = weighted_prefix_poly(below)
+    coeffs = [-c for c in s.coeffs]  # S has degree >= 2, so this is never empty
+    coeffs[0] += s(k - m + 1) if k - m + 1 >= 0 else 0
+    return Poly(coeffs)
 
 
 def p_poly(k: int, m: int) -> Poly:
@@ -171,25 +192,11 @@ def p_poly(k: int, m: int) -> Poly:
     P[k, m] = (total weighted prefix over q = 1..k-m) - S(j) where S is the
     weighted prefix polynomial of P[k, m-1].  For m <= k the constant head
     equals S(k-m+1); for m > k the defining sum is empty, so the head is 0.
-    Every level 0..m is memoised by (k, m); the chain is built in a loop from
-    the highest cached level, so no recursion depth grows with m.
+    Every level 0..m is memoised by (k, m).
     """
     if k < 0 or m < 0:
         raise DomainError(f"p_poly requires k, m >= 0, got ({k}, {m})")
-    level = m
-    poly = _P_CACHE.get((k, level))
-    while poly is None and level > 0:
-        level -= 1
-        poly = _P_CACHE.get((k, level))
-    if poly is None:
-        poly = _P_CACHE[(k, 0)] = Poly([1])
-    for level in range(level + 1, m + 1):
-        s = weighted_prefix_poly(poly)
-        head = s(k - level + 1) if k - level + 1 >= 0 else 0
-        coeffs = [-c for c in s.coeffs]  # S has degree >= 2, so this is never empty
-        coeffs[0] += head
-        poly = _P_CACHE[(k, level)] = Poly(coeffs)
-    return poly
+    return _chain(_P_CACHE, k, m, lambda k: Poly([1]), _p_step)
 
 
 @dataclass(frozen=True)
@@ -203,29 +210,28 @@ class PolyRecord:
     coefficients: tuple[Fraction, ...]
 
 
-_P0_CACHE: dict[tuple[int, int, int], int] = {}
+_P0_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _p0_step(k: int, m: int, below: tuple[int, ...]) -> tuple[int, ...]:
+    # row[j] = row[j+1] + j * below[j+1], summed from j = k-m down to 0
+    suffix = itertools.accumulate(j * below[j + 1] for j in range(k - m, -1, -1))
+    return tuple(suffix)[::-1]
 
 
 def p0_eval(k: int, m: int, j: int) -> int:
-    """Pointwise value of the suffix form P0[k, m](j).
-
-    Direct recursion: P0[k, m](j) = sum_{q=j}^{k-m} q * P0[k, m-1](q+1),
-    with the empty sum equal to 0 and P0[k, 0] identically 1.  Values are
-    integers; memoised by (k, m, j).
+    """The suffix form P0[k, m](j) = sum_{q=j}^{k-m} q * P0[k, m-1](q+1), with
+    P0[k, 0] identically 1: an integer read from the row P0[k, m](0..k-m),
+    memoised by (k, m).  For j > k-m (which covers m > k) the sum is empty,
+    so the value is 0 and no row is built.
     """
     if k < 0 or m < 0 or j < 0:
         raise DomainError(f"p0_eval requires k, m, j >= 0, got ({k}, {m}, {j})")
     if m == 0:
         return 1
-    key = (k, m, j)
-    hit = _P0_CACHE.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    for q in range(j, k - m + 1):
-        total += q * p0_eval(k, m - 1, q + 1)
-    _P0_CACHE[key] = total
-    return total
+    if j > k - m:
+        return 0
+    return _chain(_P0_CACHE, k, m, lambda k: (1,) * (k + 1), _p0_step)[j]
 
 
 def elementary_sum_oracle(j_top: int, v: int, u: int) -> int:

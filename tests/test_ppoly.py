@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from srscorr import ppoly
 from srscorr.errors import DomainError
+from srscorr.exactnum import stirling_first_unsigned
 from srscorr.ppoly import (
     Poly,
     elementary_sum_oracle,
@@ -147,6 +149,38 @@ def test_p0_eval_values():
     assert p0_eval(4, 2, 1) == 11
     with pytest.raises(DomainError):
         p0_eval(3, 1, -1)
+
+
+@st.composite
+def _p0_indices(draw):
+    k = draw(st.integers(0, 80))
+    return k, draw(st.integers(1, k + 2)), draw(st.integers(0, k + 2))
+
+
+@given(_p0_indices())
+@example((9, 4, 5))  # j = k - m, the last entry of the row
+@example((9, 4, 6))  # j = k - m + 1, the first empty sum
+@example((9, 10, 0))  # m = k + 1, no row at all
+@example((80, 80, 0))
+def test_p0_eval_satisfies_its_definition(indices):
+    # the registry reads P0 directly only for k <= 14 and j <= 10
+    k, m, j = indices
+    assert p0_eval(k, m, j) == sum(q * p0_eval(k, m - 1, q + 1) for q in range(j, k - m + 1))
+
+
+def test_p0_eval_builds_a_long_chain_without_recursion():
+    # k = 97 is used by no other P0 read, so the rows up to m = 60 start cold
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        value = p0_eval(97, 60, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == stirling_first_unsigned(97, 37)  # P0[k, m](0) = c(k, k - m)
+    # an empty sum is answered without building a row, even for a huge m
+    entries = len(ppoly._P0_CACHE)
+    assert p0_eval(5, 10**6, 0) == 0
+    assert len(ppoly._P0_CACHE) == entries
 
 
 # ---------------------------------------------------------------------------

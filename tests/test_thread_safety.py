@@ -2,6 +2,7 @@
 from several threads must still produce the sequential answers."""
 
 import concurrent.futures
+import sys
 
 from srscorr.correlation import alpha_coefficients, corr_exact
 from srscorr.exactnum import bernoulli, stirling_first_unsigned, stirling_second
@@ -19,6 +20,7 @@ def _worker(shift: int):
                 bernoulli(2 * j),
                 p_poly(9, min(j, 9)).coeffs,
                 p0_eval(9, min(j, 9), 1),
+                p0_eval(89, j, 1),  # k = 89 is read by no other test, so these rows start cold
                 corr_exact(min(j, 5), 12, 5),
             )
         )
@@ -26,8 +28,13 @@ def _worker(shift: int):
 
 
 def test_concurrent_first_computation_matches_sequential():
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(_worker, range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so the cold builds interleave
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(_worker, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
     for shift, rows in enumerate(results):
         expected = _worker(shift)  # caches are warm now; sequential replay
         assert rows == expected
