@@ -25,9 +25,13 @@ runs on a private SplitMix64 stream whose initial state is the (t+1)-th raw
 output of a SplitMix64 seeded with the user seed.  Results are therefore
 independent of batching/worker layout and bit-identical across runs and
 platforms.  Its memory is O(k) per lane whatever N is, and it requires
-N < 2^64.  The mean is the exactly-rounded sum (``math.fsum``) of the
-per-trial products divided by the trial count; the reported stderr is the
-Bessel-corrected sample standard deviation divided by sqrt(trials).
+N < 2^64.  Where lanes are few and N <= 2^32, the lockstep replay mixes the
+candidate outputs of a block of Fisher-Yates steps in one NumPy call and cuts
+the block at the first step in which any lane's output would be rejected, so
+blocking, too, leaves every draw unchanged.  The mean is the exactly-rounded
+sum (``math.fsum``) of the per-trial products divided by the trial count; the
+reported stderr is the Bessel-corrected sample standard deviation divided by
+sqrt(trials).
 """
 
 from __future__ import annotations
@@ -70,6 +74,11 @@ ENUMERATION_BUDGET = 10_000_000
 # tracker cells (lanes x k) per batch, so sampler memory is bounded by k alone.
 _MAX_LANES = 65536
 _TRACKER_BUDGET = 1 << 20
+# Draws per NumPy block (steps x lanes), so few lanes still make large calls.
+# Blocks are used only up to this population: past it a bound's rejection
+# zone stops being negligible and a block would mostly be cut at once.
+_DRAW_BUDGET = 1 << 16
+_BLOCK_MAX_N = 1 << 32
 
 
 def _mix64(z: int) -> int:
@@ -200,32 +209,70 @@ def _intersection_histogram(k: int, N: int, n: int, trials: int, seed: int) -> l
 
     Lockstep replay of ``sample_srs``: lane t holds the SplitMix64 stream
     seeded with ``trial_stream_seed(seed, t)``, and every lane runs the same
-    partial Fisher-Yates schedule (step i makes one bounded draw below N-i via
-    ``_draw_below``), so each lane reproduces the scalar sampler draw for draw.
-    The permutation itself is never built: a ``k x lanes`` uint64 tracker
-    holds the current positions of labels 0..k-1, and the step-i swap of
-    positions i and j moves a tracked label at i to j and one at j to i.
-    After n steps a trial's count is the number of tracked labels at
-    positions below n.  Memory is O(k) per lane and independent of N; the
+    partial Fisher-Yates schedule (``_fisher_yates_draws``), so each lane
+    reproduces the scalar sampler draw for draw.  The permutation itself is
+    never built: a ``k x lanes`` tracker holds the current positions of
+    labels 0..k-1, in the narrowest unsigned type that holds N - 1, and the
+    step-i swap of positions i and j moves a tracked label at i to j and one
+    at j to i.  After n steps a trial's count is the number of tracked labels
+    at positions below n.  Memory is O(k) per lane and independent of N; the
     batch size is a fixed constant, which the reproducibility contract makes
     invisible in the result.
     """
     hist = np.zeros(k + 1, dtype=np.int64)
+    width = np.min_scalar_type(N - 1)
     lanes_cap = max(1, min(_MAX_LANES, _TRACKER_BUDGET // max(k, 1)))
     for done in range(0, trials, lanes_cap):
         lanes = min(lanes_cap, trials - done)
         t_idx = np.arange(done + 1, done + lanes + 1, dtype=np.uint64)
         states = _mix64_vec(np.uint64(seed & _MASK64) + t_idx * np.uint64(_GOLDEN))  # trial_stream_seed
-        pos = np.repeat(np.arange(k, dtype=np.uint64)[:, np.newaxis], lanes, axis=1)
-        for i in range(n):
-            j = _draw_below(states, N - i)
-            j += np.uint64(i)
+        pos = np.repeat(np.arange(k, dtype=width)[:, np.newaxis], lanes, axis=1)
+        for i, j in enumerate(_fisher_yates_draws(states, N, n, width)):
             moved = (pos == i) | (pos == j)
             # x ^ (i ^ j) maps i to j and j to i: the swap, for the labels it moves
-            np.bitwise_xor(pos, j ^ np.uint64(i), out=pos, where=moved)
+            if width.itemsize <= 2:  # a product with the mask beats the masked xor up to 16 bits, not past
+                pos ^= moved * (j ^ i)
+            else:
+                np.bitwise_xor(pos, j ^ i, out=pos, where=moved)
         counts = (pos < n).sum(axis=0)
         hist += np.bincount(counts, minlength=k + 1)
     return [int(c) for c in hist]
+
+
+def _fisher_yates_draws(states, N: int, n: int, width):
+    """Yield step i's swap partner ``i + next_below(N - i)`` for every lane,
+    as a ``width`` array, for i = 0..n-1, advancing ``states`` in place.
+
+    Where lanes are few (and N <= ``_BLOCK_MAX_N``), one block mixes the
+    candidate outputs of up to ``_DRAW_BUDGET // lanes`` steps at once.  A
+    step's candidate is the lane's next raw output, so the block is exact up
+    to the first step in which some lane's output falls in its rejection
+    zone; the block is cut there, ``states`` advances past the accepted steps
+    only, and that step goes through ``_draw_below``'s redraw loop.
+    """
+    rows_cap = max(1, _DRAW_BUDGET // states.size) if N <= _BLOCK_MAX_N else 1
+    ahead = np.array([r * _GOLDEN & _MASK64 for r in range(1, rows_cap + 1)], dtype=np.uint64)[:, np.newaxis]
+    i = 0
+    while i < n:
+        rows = min(rows_cap, n - i)
+        if rows > 1:
+            z = _mix64_vec(states + ahead[:rows])
+            bounds = range(N - i, N - i - rows, -1)
+            limits = np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64)
+            cut = np.flatnonzero((z > limits[:, np.newaxis]).any(axis=1))
+            ok = int(cut[0]) if cut.size else rows
+            states += np.uint64(ok * _GOLDEN & _MASK64)
+            z = z[:ok]
+            z %= np.array(bounds[:ok], dtype=np.uint64)[:, np.newaxis]
+            z += np.arange(i, i + ok, dtype=np.uint64)[:, np.newaxis]
+            yield from z.astype(width, copy=False)
+            i += ok
+            if ok == rows:
+                continue
+        j = _draw_below(states, N - i)
+        j += np.uint64(i)
+        yield j.astype(width, copy=False)
+        i += 1
 
 
 def _draw_below(states, bound: int):
@@ -244,7 +291,8 @@ def _draw_below(states, bound: int):
             states[reject] += golden
             z[reject] = _mix64_vec(states[reject])
             reject = z >= threshold
-    z %= np.uint64(bound)
+    bound = np.uint64(bound)
+    z -= z // bound * bound  # z % bound; division by one scalar is far faster than remainder
     return z
 
 
@@ -272,7 +320,7 @@ def monte_carlo_corr(k: int, N: int, n: int, trials: int, seed: int = DEFAULT_MC
     if trials < 1:
         raise DomainError(f"monte_carlo_corr requires trials >= 1, got {trials}")
     check_design("monte_carlo_corr", k, N, n)
-    if N >= 1 << 64:  # the lockstep sampler holds positions and bounds in uint64
+    if N >= 1 << 64:  # the lockstep sampler holds states, bounds and positions in at most 64 bits
         raise DomainError(f"monte_carlo_corr requires N < 2^64, got N={N}")
     hist = _intersection_histogram(k, N, n, trials, seed)
     f = n / N

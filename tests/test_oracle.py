@@ -257,33 +257,57 @@ def test_lockstep_draw_redraws_like_next_below():
 
 @st.composite
 def _mc_designs(draw):
-    N = draw(st.integers(1, 40))
-    n = draw(st.integers(0, N))
-    k = draw(st.integers(0, N))
+    # a small population, or one just above 2^63 where each bound rejects 25-50% of raw outputs
+    N = draw(st.one_of(st.integers(1, 40), st.integers(2**63 + 1, 2**63 + 2**62)))
+    n = draw(st.integers(0, min(N, 40)))
+    k = draw(st.integers(0, min(N, 40)))
     trials = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**64 - 1))
     max_lanes = draw(st.sampled_from([1, 7, 64, oracle._MAX_LANES]))
-    return k, N, n, trials, seed, max_lanes
+    draw_budget = draw(st.sampled_from([1, 16, 64, oracle._DRAW_BUDGET]))
+    blocks_past_2_32 = draw(st.booleans())
+    return k, N, n, trials, seed, max_lanes, draw_budget, blocks_past_2_32
+
+
+_BLOCKS = oracle._DRAW_BUDGET
 
 
 @given(_mc_designs())
-@example((0, 5, 3, 10, 1, 64))  # k = 0
-@example((7, 7, 4, 50, 2, 7))  # k = N
-@example((3, 9, 0, 20, 3, 1))  # n = 0
-@example((3, 9, 9, 20, 4, 7))  # n = N
-@example((40, 40, 20, 300, 5, oracle._MAX_LANES))  # the largest order drawn
-@example((3, 2**31 + 5, 5, 30, 6, 7))  # positions past 32 bits
-@example((3, 10**12, 5, 30, 7, oracle._MAX_LANES))  # a population no dense permutation fits
+@example((0, 5, 3, 10, 1, 64, _BLOCKS, False))  # k = 0
+@example((7, 7, 4, 50, 2, 7, 16, False))  # k = N
+@example((3, 9, 0, 20, 3, 1, _BLOCKS, False))  # n = 0
+@example((3, 9, 9, 20, 4, 7, 64, False))  # n = N
+@example((40, 40, 20, 300, 5, oracle._MAX_LANES, _BLOCKS, False))  # the largest order drawn
+@example((3, 2**31 + 5, 5, 30, 6, 7, _BLOCKS, False))  # positions past 32 bits
+@example((3, 10**12, 5, 30, 7, oracle._MAX_LANES, _BLOCKS, False))  # a population no dense permutation fits
+@example((4, 256, 255, 40, 8, 16, 64, False))  # the widest population with 8-bit positions
+@example((4, 257, 256, 300, 9, 64, 1000, False))  # position 256 needs 16 bits
+@example((3, 65536, 40, 100, 10, 7, _BLOCKS, False))  # the widest population with 16-bit positions
+@example((3, 65537, 40, 100, 11, 7, _BLOCKS, False))  # 32-bit positions
+@example((2, 2**63 + 2**61, 40, 2, 12, 64, _BLOCKS, True))  # blocks past 2^32: 3/8 of raw outputs reject
 def test_monte_carlo_agrees_with_scalar_replay(design):
-    # the lockstep histogram must reproduce a plain per-trial replay of
-    # sample_srs on the same substreams, for any batch size
-    k, N, n, trials, seed, max_lanes = design
+    # the lockstep draws, final stream states and histogram must reproduce a
+    # plain per-trial replay of sample_srs on the same substreams, for any
+    # batch size and block size
+    k, N, n, trials, seed, max_lanes, draw_budget, blocks_past_2_32 = design
     hist = [0] * (k + 1)
+    draws, ends = [], []
     for t in range(trials):
         rng = SplitMix64(trial_stream_seed(seed, t))
         members = sample_srs(N, n, rng).members
         hist[sum(1 for a in members if a < k)] += 1
-    with mock.patch.object(oracle, "_MAX_LANES", max_lanes):
+        ends.append(rng.state)
+        rng = SplitMix64(trial_stream_seed(seed, t))
+        draws.append([i + rng.next_below(N - i) for i in range(n)])
+    states = np.array([trial_stream_seed(seed, t) for t in range(trials)], dtype=np.uint64)
+    with (
+        mock.patch.object(oracle, "_MAX_LANES", max_lanes),
+        mock.patch.object(oracle, "_DRAW_BUDGET", draw_budget),
+        mock.patch.object(oracle, "_BLOCK_MAX_N", 2**64 if blocks_past_2_32 else oracle._BLOCK_MAX_N),
+    ):
+        rows = [row.tolist() for row in oracle._fisher_yates_draws(states, N, n, np.dtype(np.uint64))]
+        assert rows == [list(steps) for steps in zip(*draws)]
+        assert states.tolist() == ends
         assert oracle._intersection_histogram(k, N, n, trials, seed) == hist
     f = n / N
     values = []
@@ -297,6 +321,30 @@ def test_monte_carlo_agrees_with_scalar_replay(design):
     mean = math.fsum(hist[i] * values[i] for i in range(k + 1)) / trials
     est = monte_carlo_corr(k, N, n, trials=trials, seed=seed)
     assert est.mean == mean
+
+
+@pytest.mark.parametrize(
+    "design, limit_mb",
+    [
+        ((3, 90_000, 2_000, 180), 4),  # a few lanes: blocks of many steps
+        ((5, 230, 33, 65536), 5.31),  # a full batch of 65536 lanes, one step per block
+    ],
+)
+def test_monte_carlo_memory_is_bounded_up_front(design, limit_mb):
+    # blocks and tracker are sized by lanes and k, never by n: doubling the
+    # steps leaves the peak where it was
+    def peak_mb(k, N, n, trials):
+        tracemalloc.start()
+        try:
+            monte_carlo_corr(k, N, n, trials, seed=3)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    k, N, n, trials = design
+    peak, doubled = peak_mb(k, N, n, trials), peak_mb(k, N, 2 * n, trials)
+    assert peak <= limit_mb and doubled <= limit_mb, (peak, doubled)
+    assert abs(doubled - peak) <= 0.1 * peak, (peak, doubled)
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,12 @@ _PINNED_OUTPUTS = [
     # benchmark scale for the recursion polynomials: degrees 32 and 38, as in perfbench's poly-tables
     ("ppoly --k 60 --m 16", "eb592d70f8833fbe60853cdc03374c9037a49ee331ac7c662e6f2f6c231bdc55"),
     ("ppoly --k 24 --m 19 --format csv", "e675bede0b9753d96a7b444472ecfcad04e6477a48cfd7e64a9fd9038a9b9ad9"),
+    # the lockstep sampler at benchmark shapes: a few lanes at large N, 65536 lanes at small N,
+    # N = 257 where position 256 needs more than 8 bits, and N just below 2^64
+    ("mc --k 3 --N 90000 --n 2000 --trials 180 --seed 5", "0438606e71f68ba1d46b2c8740ef9a3c06297ac4821ebf465b12e0c753e669b7"),
+    ("mc --k 5 --N 230 --n 33 --trials 65536", "a399a5d42cde5c8730c68818adf3b6917db5fe013d67faebbeb48df37d3fdeeb"),
+    ("mc --k 4 --N 257 --n 256 --trials 3000", "d34582b25eb71d4783feaeebbc11af23505b9f4d711fb582beb5c928bf2d87cd"),
+    ("mc --k 2 --N 18446744073709551557 --n 40 --trials 64", "cda51f6eba4b0daef1983ada1bdde2b9394a47e730d8e941377205ed9ea50d9b"),
 ]
 
 
