@@ -75,8 +75,10 @@ ENUMERATION_BUDGET = 10_000_000
 _MAX_LANES = 65536
 _TRACKER_BUDGET = 1 << 20
 # Draws per NumPy block (steps x lanes), so few lanes still make large calls.
-# Blocks are used only up to this population: past it a bound's rejection
-# zone stops being negligible and a block would mostly be cut at once.
+# A draw below b is rejected with chance under b / 2^64, so a full block is cut
+# with chance under N / 2^48 and blocks stay nearly whole up to N ~ 2^48; they
+# collapse only near 2^63.  Blocks are used only up to 2^32, a conservative
+# bound that keeps the one-step cost for larger N.
 _DRAW_BUDGET = 1 << 16
 _BLOCK_MAX_N = 1 << 32
 
@@ -229,11 +231,7 @@ def _intersection_histogram(k: int, N: int, n: int, trials: int, seed: int) -> l
         pos = np.repeat(np.arange(k, dtype=width)[:, np.newaxis], lanes, axis=1)
         for i, j in enumerate(_fisher_yates_draws(states, N, n, width)):
             moved = (pos == i) | (pos == j)
-            # x ^ (i ^ j) maps i to j and j to i: the swap, for the labels it moves
-            if width.itemsize <= 2:  # a product with the mask beats the masked xor up to 16 bits, not past
-                pos ^= moved * (j ^ i)
-            else:
-                np.bitwise_xor(pos, j ^ i, out=pos, where=moved)
+            pos ^= moved * (j ^ i)  # x ^ (i ^ j) maps i to j and j to i: the swap, for the labels it moves
         counts = (pos < n).sum(axis=0)
         hist += np.bincount(counts, minlength=k + 1)
     return [int(c) for c in hist]
@@ -250,8 +248,8 @@ def _fisher_yates_draws(states, N: int, n: int, width):
     zone; the block is cut there, ``states`` advances past the accepted steps
     only, and that step goes through ``_draw_below``'s redraw loop.
     """
-    rows_cap = max(1, _DRAW_BUDGET // states.size) if N <= _BLOCK_MAX_N else 1
-    ahead = np.array([r * _GOLDEN & _MASK64 for r in range(1, rows_cap + 1)], dtype=np.uint64)[:, np.newaxis]
+    rows_cap = max(1, min(n, _DRAW_BUDGET // states.size)) if N <= _BLOCK_MAX_N else 1
+    ahead = np.arange(1, rows_cap + 1, dtype=np.uint64)[:, np.newaxis] * np.uint64(_GOLDEN)  # wraps mod 2^64
     i = 0
     while i < n:
         rows = min(rows_cap, n - i)
