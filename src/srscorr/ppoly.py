@@ -7,8 +7,14 @@ The family is defined, for integers k >= 0, by
     P[k, m](j) = sum_{q=1}^{k-m} q P[k, m-1](q+1)  -  sum_{q=1}^{j-1} q P[k, m-1](q+1)
 
 so each level is "total weighted prefix minus weighted prefix up to j".
-``p_poly`` materialises P[k, m] as an exact polynomial in j.  The weighted
-prefix of a polynomial Q is one Faulhaber substitution, with no shift of Q:
+``p_poly`` materialises P[k, m] as an exact polynomial in j.  On the
+integers j >= 0 each level is an integer row, its head minus the running
+prefix sum of the row below, so ``p_poly`` builds the rows P[k, m](0..R),
+R = max(2m, k), and interpolates once through the 2m + 1 values of the
+degree-2m result (Newton's forward differences, one integer vector over
+(2m)!).  ``weighted_prefix_poly`` is the independent route the verification
+suite compares it with: the weighted prefix of a polynomial Q as one
+Faulhaber substitution, with no shift of Q,
 
     sum_{q=1}^{j-1} q Q(q+1) = sum_m t_m (F_m(j) + j^m) + Q(0),
 
@@ -28,7 +34,9 @@ implemented by ``falling_factorial_via_p0`` and checked against both direct
 falling factorials and a brute-force elementary-sum oracle.
 
 Caches are dicts with idempotent entries; concurrent use is safe (duplicate
-work at worst, identical results always).
+work at worst, identical results always).  ``_P_CACHE`` holds each finished
+P[k, m] by (k, m), and no level below it; ``_P0_CACHE`` holds every P0 row
+built, by (k, level).
 """
 
 from __future__ import annotations
@@ -162,28 +170,14 @@ def weighted_prefix_poly(q_poly: Poly) -> Poly:
     return Poly(out)
 
 
-def _chain(cache: dict, k: int, m: int, first, step):
-    """Level m of the family ``cache`` holds by (k, level), built in a loop from
-    the highest cached level <= m (or ``first(k)`` at level 0) with
-    ``step(k, level, level_below)``; every level is memoised."""
-    level = m
-    while (value := cache.get((k, level))) is None and level > 0:
-        level -= 1
-    if value is None:
-        value = cache[(k, 0)] = first(k)
-    for level in range(level + 1, m + 1):
-        value = cache[(k, level)] = step(k, level, value)
-    return value
-
-
 _P_CACHE: dict[tuple[int, int], Poly] = {}
 
 
-def _p_step(k: int, m: int, below: Poly) -> Poly:
-    s = weighted_prefix_poly(below)
-    coeffs = [-c for c in s.coeffs]  # S has degree >= 2, so this is never empty
-    coeffs[0] += s(k - m + 1) if k - m + 1 >= 0 else 0
-    return Poly(coeffs)
+def _p_step(k: int, m: int, below: list[int]) -> list[int]:
+    # row[j] = head - sum_{q=1}^{j-1} q * below[q+1], for j = 0..len(below)-1
+    prefix = list(itertools.accumulate((q * below[q + 1] for q in range(len(below) - 1)), initial=0))
+    head = prefix[k - m + 1] if k - m + 1 >= 0 else 0
+    return [head - s for s in prefix]
 
 
 def p_poly(k: int, m: int) -> Poly:
@@ -192,11 +186,40 @@ def p_poly(k: int, m: int) -> Poly:
     P[k, m] = (total weighted prefix over q = 1..k-m) - S(j) where S is the
     weighted prefix polynomial of P[k, m-1].  For m <= k the constant head
     equals S(k-m+1); for m > k the defining sum is empty, so the head is 0.
-    Every level 0..m is memoised by (k, m).
+
+    The integer values P[k, m](0..R), R = max(2m, k), are built level by
+    level as head minus running prefix sum of the level below (the head
+    S(k-m+1) reads index k-m+1 <= k).  P[k, m] has degree 2m, so its forward
+    differences at 0 give it once by Newton's formula
+
+        P(x) = sum_{i=0}^{2m} Delta^i P(0) (x)_i / i!,
+
+    multiplied out by Horner's rule as one integer vector over (2m)!.  Only
+    the finished polynomial is memoised, by (k, m).
     """
     if k < 0 or m < 0:
         raise DomainError(f"p_poly requires k, m >= 0, got ({k}, {m})")
-    return _chain(_P_CACHE, k, m, lambda k: Poly([1]), _p_step)
+    poly = _P_CACHE.get((k, m))
+    if poly is not None:
+        return poly
+    degree = 2 * m
+    values = [1] * (max(degree, k) + 1)
+    for level in range(1, m + 1):
+        values = _p_step(k, level, values)
+    values = values[: degree + 1]
+    differences = []  # differences[i] = Delta^i P(0)
+    while values:
+        differences.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    # Q_i = Delta^i P(0) (2m)!/i! + (x - i) Q_{i+1}, down to Q_0 = (2m)! P
+    coeffs, scale = [], 1
+    for i in range(degree, -1, -1):
+        coeffs = [a - i * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += differences[i] * scale
+        scale *= i
+    denom = math.factorial(degree)
+    poly = _P_CACHE[(k, m)] = Poly(Fraction(c, denom) for c in coeffs)
+    return poly
 
 
 @dataclass(frozen=True)
@@ -222,7 +245,8 @@ def _p0_step(k: int, m: int, below: tuple[int, ...]) -> tuple[int, ...]:
 def p0_eval(k: int, m: int, j: int) -> int:
     """The suffix form P0[k, m](j) = sum_{q=j}^{k-m} q * P0[k, m-1](q+1), with
     P0[k, 0] identically 1: an integer read from the row P0[k, m](0..k-m),
-    memoised by (k, m).  For j > k-m (which covers m > k) the sum is empty,
+    built from the highest cached row below it; every row is memoised by
+    (k, level).  For j > k-m (which covers m > k) the sum is empty,
     so the value is 0 and no row is built.
     """
     if k < 0 or m < 0 or j < 0:
@@ -231,7 +255,14 @@ def p0_eval(k: int, m: int, j: int) -> int:
         return 1
     if j > k - m:
         return 0
-    return _chain(_P0_CACHE, k, m, lambda k: (1,) * (k + 1), _p0_step)[j]
+    level = m
+    while (row := _P0_CACHE.get((k, level))) is None and level > 0:
+        level -= 1
+    if row is None:
+        row = _P0_CACHE[(k, 0)] = (1,) * (k + 1)
+    for level in range(level + 1, m + 1):
+        row = _P0_CACHE[(k, level)] = _p0_step(k, level, row)
+    return row[j]
 
 
 def elementary_sum_oracle(j_top: int, v: int, u: int) -> int:

@@ -300,6 +300,13 @@ def _(r, top):
             for j in range(k + 2):
                 r.equal(prefix(j), direct, f"k={k} m={m} j={j}")
                 direct += j * q_poly(j + 1)
+            # the Faulhaber route to the next level, independent of the
+            # value rows p_poly interpolates: P[k, m+1] = S(k-m) - S
+            step = p_poly(k, m + 1)
+            head = prefix(k - m)
+            for i in range(max(len(step.coeffs), len(prefix.coeffs))):
+                expected = (head if i == 0 else 0) - prefix.coefficient(i)
+                r.equal(step.coefficient(i), expected, f"k={k} m={m + 1} x^{i}")
 
 
 @_check("ppoly", "leading-coefficients", "1 <= m <= k <= {top}", 12)

@@ -5,6 +5,7 @@ elementary-symmetric-sum characterization and the falling-factorial
 expansion) are checks of the registry in ``srscorr.verify``."""
 
 import inspect
+import math
 import sys
 from fractions import Fraction
 
@@ -123,8 +124,31 @@ def test_p_poly_agrees_with_p0_eval_at_benchmark_scale(indices):
     assert p_poly(k, m)(j) == p0_eval(k, m, j)
 
 
+@given(st.integers(0, 60), st.integers(1, 19))
+@example(60, 19)
+@example(24, 19)
+@example(3, 19)  # m > k + 1, where the head is 0
+def test_p_poly_matches_one_faulhaber_step_at_benchmark_scale(k, m):
+    # the registry's weighted-prefix-direct-sum check takes this step for k <= 12
+    prefix = weighted_prefix_poly(p_poly(k, m - 1))
+    head = prefix(k - m + 1) if k - m + 1 >= 0 else 0
+    assert p_poly(k, m) == Poly([head - prefix.coefficient(0), *(-c for c in prefix.coeffs[1:])])
+
+
+def test_p_poly_at_large_m_keeps_the_closed_form_leading_terms():
+    # the lead and sub-lead of the registry's leading-coefficients check,
+    # here far past m = k
+    m = 120
+    poly = p_poly(2, m)
+    denom = 2**m * math.factorial(m)
+    assert poly.degree == 2 * m
+    assert poly.coefficient(2 * m) == Fraction((-1) ** m, denom)
+    assert poly.coefficient(2 * m - 1) == Fraction((-1) ** m * m * (2 * m - 5), 3 * denom)
+
+
 def test_p_poly_builds_a_long_chain_without_recursion():
-    # k = 97 is used by no other test, so the chain to m = 40 starts cold
+    # k = 97 is used by no other test, so P[97, 40] starts cold
+    entries = len(ppoly._P_CACHE)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
     try:
@@ -133,6 +157,9 @@ def test_p_poly_builds_a_long_chain_without_recursion():
         sys.setrecursionlimit(limit)
     assert poly.degree == 80
     assert poly(97) == 0
+    # only the finished polynomial is memoised, no level below it
+    assert len(ppoly._P_CACHE) == entries + 1
+    assert p_poly(97, 40) is poly
 
 
 def test_p_poly_rejects_negative_indices():
