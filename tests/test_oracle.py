@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srscorr import oracle
@@ -321,6 +321,63 @@ def test_monte_carlo_agrees_with_scalar_replay(design):
     mean = math.fsum(hist[i] * values[i] for i in range(k + 1)) / trials
     est = monte_carlo_corr(k, N, n, trials=trials, seed=seed)
     assert est.mean == mean
+
+
+def _scalar_histogram(k, N, n, trials, seed):
+    hist = [0] * (k + 1)
+    for t in range(trials):
+        members = sample_srs(N, n, SplitMix64(trial_stream_seed(seed, t))).members
+        hist[sum(1 for a in members if a < k)] += 1
+    return hist
+
+
+@st.composite
+def _sparse_designs(draw):
+    # few lanes and a population large enough that 8 lanes k < N - i, where the
+    # tracker applies only the steps that move a tracked label
+    lanes = draw(st.integers(1, 60))
+    N = draw(st.one_of(st.integers(300, 5000), st.integers(5000, 100_000)))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, min(N, 12_000 // lanes)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    draw_budget = draw(st.sampled_from([256, oracle._DRAW_BUDGET]))
+    return k, N, n, lanes, seed, draw_budget
+
+
+@settings(max_examples=15)
+@given(_sparse_designs())
+@example((2, 1268, 523, 60, 1, _BLOCKS))
+@example((4, 3358, 1555, 20, 2, _BLOCKS))
+@example((1, 326, 200, 20, 3, _BLOCKS))
+def test_event_tracker_agrees_with_scalar_replay(design):
+    # a label sent ahead by a step that reaches it can meet later rows of the
+    # same block that no up-front compare found
+    k, N, n, lanes, seed, draw_budget = design
+    with mock.patch.object(oracle, "_DRAW_BUDGET", draw_budget):
+        assert oracle._intersection_histogram(k, N, n, lanes, seed) == _scalar_histogram(k, N, n, lanes, seed)
+
+
+def _events_after_k(k, N, n, seed):
+    # scalar Fisher-Yates replay of one trial, counting the steps i >= k whose
+    # partner lands on a tracked label and those that reach one
+    rng = SplitMix64(seed)
+    where = list(range(k))  # where[a]: the position of label a
+    hits = reaches = 0
+    for i in range(n):
+        j = i + rng.next_below(N - i)
+        if i >= k:
+            hits += j != i and j in where
+            reaches += i in where
+        where = [j if p == i else i if p == j else p for p in where]
+    return hits, reaches
+
+
+def test_event_tracker_meets_both_event_kinds_after_step_k():
+    k, N, n, lanes, seed = 3, 2000, 1000, 20, 11
+    assert 8 * lanes * k < N - n  # every block takes the event path after step k
+    events = [_events_after_k(k, N, n, trial_stream_seed(seed, t)) for t in range(lanes)]
+    assert sum(h for h, _ in events) > 0 and sum(r for _, r in events) > 0, events
+    assert oracle._intersection_histogram(k, N, n, lanes, seed) == _scalar_histogram(k, N, n, lanes, seed)
 
 
 @pytest.mark.parametrize(

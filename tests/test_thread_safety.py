@@ -1,11 +1,14 @@
 """The memoized kernels are shared mutable state; concurrent first-touch
-from several threads must still produce the sequential answers."""
+from several threads must still produce the sequential answers.  The Monte
+Carlo sampler keeps its scratch arrays per call, so concurrent runs must
+match sequential ones too."""
 
 import concurrent.futures
 import sys
 
 from srscorr.correlation import alpha_coefficients, corr_exact
 from srscorr.exactnum import bernoulli, stirling_first_unsigned, stirling_second
+from srscorr.oracle import monte_carlo_corr
 from srscorr.ppoly import p0_eval, p_poly
 
 
@@ -44,3 +47,26 @@ def test_alpha_tables_identical_across_threads():
     with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
         tables = list(pool.map(alpha_coefficients, [6] * 6))
     assert all(t == tables[0] for t in tables)
+
+
+_MC_DESIGNS = [
+    (3, 5000, 600, 40),  # few lanes: block draws, event-driven tracker
+    (2, 2**40, 30, 300),  # N > 2^32: one-row draws into per-call scratch
+    (4, 230, 20, 40000),  # many lanes: one-row draws, row-by-row tracker
+]
+
+
+def _mc_worker(shift: int):
+    return [monte_carlo_corr(*_MC_DESIGNS[(i + shift) % 3], seed=shift) for i in range(3)]
+
+
+def test_concurrent_monte_carlo_matches_sequential():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(_mc_worker, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    for shift, estimates in enumerate(results):
+        assert estimates == _mc_worker(shift)
