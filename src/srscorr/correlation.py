@@ -31,6 +31,11 @@ recursion polynomials of (N-j)_(k-j).  ``coefficient_limit`` gives the limit
 of each scaled f-coefficient; summing those limits against powers of f
 recovers the theorem limit, a polynomial identity the verification suite
 checks exactly.
+
+``_ALPHA_CACHE`` holds each finished ``AlphaTable`` by k, in the idiom of
+``ppoly._P_CACHE``: the table is frozen and its rows are tuples, so every
+caller shares one object, and concurrent first builds do duplicate work at
+worst and store equal tables.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import floor, perm
+from operator import add, mul
 
 from .errors import DomainError, check_design
 from .exactnum import binomial, falling_factorial, normal_moment, stirling_first_unsigned
@@ -145,9 +152,10 @@ class AlphaTable:
 
     The table is built once per k from the Stirling numbers of (n)_j, which
     are the suffix values P0[j, v](1) = c(j, j-v), and the suffix-form
-    recursion polynomials of (N-j)_(k-j).  It is exact; reconstructing Corr
-    through it is an independent route that must agree with ``corr_exact``
-    on every admissible design.
+    recursion polynomials of (N-j)_(k-j), and memoised by k, so
+    ``alpha_coefficients(k)`` returns the same object on every call.  It is
+    exact; reconstructing Corr through it is an independent route that must
+    agree with ``corr_exact`` on every admissible design.
     """
 
     k: int
@@ -171,6 +179,9 @@ class AlphaTable:
         return Fraction(num, N**k * falling_factorial(N, k))
 
 
+_ALPHA_CACHE: dict[int, AlphaTable] = {}
+
+
 def alpha_coefficients(k: int) -> AlphaTable:
     """Build the integer coefficient table of alpha(k, f) = Corr(k) (N)_k.
 
@@ -187,19 +198,28 @@ def alpha_coefficients(k: int) -> AlphaTable:
     value P0[j, v](1) = c(j, j-v).  With n = fN, entry (v, i) of the rows'
     product, times (-1)^(k-j) C(k, j), adds to the coefficient of
     f^(k-v) N^(k-v-i).  All entries are integers.
+
+    For each j the signed tail, times (-1)^(k-j) C(k, j), is built once in
+    reverse order, so that it lines up with the segment N^(j-v)..N^(k-v) of
+    row v; each head term h then adds h times that tail into the segment in
+    one slice assignment.  The finished table is memoised by k.
     """
     if k < 0:
         raise DomainError(f"alpha_coefficients requires k >= 0, got k={k}")
-    table = [[0] * (k + 1) for _ in range(k + 1)]
+    table = _ALPHA_CACHE.get(k)
+    if table is not None:
+        return table
+    rows = [[0] * (k + 1) for _ in range(k + 1)]
     for j in range(k + 1):
         scale = (-1) ** (k - j) * binomial(k, j)
         head = [(-1) ** v * stirling_first_unsigned(j, j - v) for v in range(j + 1)]
-        tail = [(-1) ** i * p0_eval(k, i, j) for i in range(k - j + 1)]
+        tail = [scale * (-1) ** i * p0_eval(k, i, j) for i in range(k - j + 1)]
+        tail.reverse()  # tail[r] now lands on N^(j-v+r), so row v's segment is j-v..k-v
         for v, h in enumerate(head):
-            row = table[v]
-            for i, t in enumerate(tail):
-                row[k - v - i] += scale * h * t
-    return AlphaTable(k=k, coeffs=tuple(tuple(row) for row in table))
+            row = rows[v]
+            row[j - v : k - v + 1] = map(add, row[j - v : k - v + 1], map(mul, repeat(h), tail))
+    table = _ALPHA_CACHE[k] = AlphaTable(k=k, coeffs=tuple(map(tuple, rows)))
+    return table
 
 
 def coefficient_limit(k: int, v: int) -> Fraction:

@@ -4,6 +4,7 @@ from functools import cache
 import pytest
 from hypothesis import settings
 
+from srscorr.correlation import _ALPHA_CACHE
 from srscorr.verify import CHECKS
 
 # Property tests draw the same examples on every run, so the suite is deterministic.
@@ -11,6 +12,13 @@ settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")
 
 _CHECKS_BY_IDENTITY = {check.identity: check for check in CHECKS}
+
+
+@pytest.fixture(autouse=True)
+def _cold_alpha_tables():
+    """Start every test with no memoised alpha table, so a test that watches
+    what ``alpha_coefficients`` calls sees a full build whatever ran before."""
+    _ALPHA_CACHE.clear()
 
 
 @cache

@@ -1,15 +1,16 @@
 """Tests for the exact inclusion correlations Corr(k), their scaled limits,
 the alpha-coefficient table, and the convergence scan."""
 
+import hashlib
 import warnings
 from fractions import Fraction
-from functools import cache
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from srscorr.correlation import (
+    _ALPHA_CACHE,
     AlphaTable,
     CorrRecord,
     LimitSpec,
@@ -23,7 +24,8 @@ from srscorr.correlation import (
     theorem_limit,
 )
 from srscorr.errors import DomainError
-from srscorr.exactnum import binomial, falling_factorial
+from srscorr.exactnum import binomial, falling_factorial, stirling_first_unsigned
+from srscorr.ppoly import p0_eval
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +78,6 @@ def _designs(draw):
     return k, N, n
 
 
-_alpha_table = cache(alpha_coefficients)
-
-
 @given(_designs())
 @example((0, 9_876_543, 3_950_617))  # k = 0
 @example((1, 9_876_543, 3_950_617))  # k = 1
@@ -93,7 +92,7 @@ def test_corr_exact_matches_moment_expansion_symmetry_and_alpha_table(design):
     value = corr_exact(k, N, n)
     assert value == _moment_expansion(k, N, n)
     assert value == (-1) ** k * corr_exact(k, N, N - n)
-    assert value == _alpha_table(k).corr(N, n)
+    assert value == alpha_coefficients(k).corr(N, n)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +139,58 @@ def test_alpha_table_order_two():
     assert table.f_coefficient(0, 7) == 7
     assert table.f_coefficient(1, 7) == -7
     assert table.corr(10, 5) == Fraction(-1, 36)
+
+
+def _alpha_reference(k):
+    """The alpha table by one integer update per (j, v, i) entry: the triple
+    loop of the defining expansion, with no slices and no memo."""
+    table = [[0] * (k + 1) for _ in range(k + 1)]
+    for j in range(k + 1):
+        scale = (-1) ** (k - j) * binomial(k, j)
+        head = [(-1) ** v * stirling_first_unsigned(j, j - v) for v in range(j + 1)]
+        tail = [(-1) ** i * p0_eval(k, i, j) for i in range(k - j + 1)]
+        for v, h in enumerate(head):
+            row = table[v]
+            for i, t in enumerate(tail):
+                row[k - v - i] += scale * h * t
+    return tuple(tuple(row) for row in table)
+
+
+@given(st.integers(0, 40))
+@example(0)
+@example(1)
+@example(60)
+def test_alpha_table_matches_reference_route_and_is_memoised_by_k(k):
+    _ALPHA_CACHE.clear()
+    table = alpha_coefficients(k)
+    assert table.coeffs == _alpha_reference(k)
+    assert _ALPHA_CACHE.keys() == {k} and _ALPHA_CACHE[k] is table
+    assert alpha_coefficients(k) is table
+    alpha_coefficients(k + 1)
+    assert _ALPHA_CACHE.keys() == {k, k + 1}
+
+
+# sha256 of repr(alpha_coefficients(k).coeffs), the digest perfbench's alpha
+# ops report, at k = 0, 1, 2 and at the benchmark's eight alpha orders.
+_ALPHA_SHA256 = {
+    0: "8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c",
+    1: "221953990bf67664d927a24118a0cc043785fbcda6c4c883e8b6c1079c238f3b",
+    2: "b3f3675a78db28c99362c4bcea5aae87a5b76d05dcc38fe6465d40a92d752126",
+    24: "ad364ece31ea3e47477378ee1ac22b44828f3c6a5d2e8d98d95f1f21468f7d2e",
+    27: "583d18b9abdb78f14ec98134dba6590c70343f64662b97220f15dfe80571df05",
+    31: "d93146450bfebb1853385b800326d888b824dcc670518a30f85ad49633eb6f87",
+    36: "eaa5cfe0f9bb95063f34700672e9af1d1fba3f7c836c19516603e42bcfac1bbf",
+    41: "b05eb0ab62855a141bb9dfb518357164a4eb82f39d9724d5a3c5a09a215b1f64",
+    46: "d4774675af410e01b3d1524a3ec8cd12287a25a2b54e3d2223ce10d6a8fc1a6b",
+    53: "50e3a0d01377fb6dac9e18a7d19d78986e425f2fb0aa521dd794fc9bc7994f10",
+    60: "1d5e113867f910762bb8f5d385f02cf528ddba6fc805b2ff9ecea7dd21ed8733",
+}
+
+
+@pytest.mark.parametrize("k", sorted(_ALPHA_SHA256))
+def test_alpha_table_bytes_are_pinned(k):
+    coeffs = repr(alpha_coefficients(k).coeffs).encode()
+    assert hashlib.sha256(coeffs).hexdigest() == _ALPHA_SHA256[k]
 
 
 def test_alpha_table_requires_population_at_least_k():

@@ -6,7 +6,7 @@ match sequential ones too."""
 import concurrent.futures
 import sys
 
-from srscorr.correlation import alpha_coefficients, corr_exact
+from srscorr.correlation import _ALPHA_CACHE, alpha_coefficients, corr_exact
 from srscorr.exactnum import bernoulli, stirling_first_unsigned, stirling_second
 from srscorr.oracle import monte_carlo_corr
 from srscorr.ppoly import p0_eval, p_poly
@@ -44,9 +44,17 @@ def test_concurrent_first_computation_matches_sequential():
 
 
 def test_alpha_tables_identical_across_threads():
-    with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
-        tables = list(pool.map(alpha_coefficients, [6] * 6))
-    assert all(t == tables[0] for t in tables)
+    orders = [24, 31, 24, 31, 6, 6]
+    _ALPHA_CACHE.clear()  # every order starts cold, so the threads race to build and store it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            tables = list(pool.map(alpha_coefficients, orders))
+    finally:
+        sys.setswitchinterval(interval)
+    _ALPHA_CACHE.clear()
+    assert tables == [alpha_coefficients(k) for k in orders]
 
 
 _MC_DESIGNS = [
