@@ -12,7 +12,8 @@ Verbs:
 Exit codes: 0 success; 1 usage error (argv does not parse: unknown verb or
 flag, malformed integer or rational literal, missing required flag);
 2 computation error (a domain or budget violation raised while executing
-the verb, e.g. n > N, f outside (0,1), enumeration guard exceeded);
+the verb, e.g. n > N, f outside (0,1), enumeration guard exceeded) or an
+``--out`` file that cannot be written (stdout has the output by then);
 3 verification failure (``verify`` ran and a check failed or compared nothing).
 
 Rationals on the command line are always exact literals ``p/q`` (or bare
@@ -35,7 +36,7 @@ from .exactnum import parse_rational
 from .oracle import DEFAULT_MC_SEED, McEstimate, monte_carlo_corr
 from .ppoly import PolyRecord, p_poly
 from .report import columns_of, emit_report
-from .verify import SUITE_NAMES, CheckResult, run_suite
+from .verify import CHECKS, SUITE_NAMES, CheckResult, run_suite
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -120,7 +121,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run identity/invariant suites")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
-    max_k_help = "cap the order-like range of each check; a check capped below its lower bound fails"
+    uncapped = ", ".join(check.identity for check in CHECKS if check.cap is None)
+    max_k_help = (
+        "cap the order-like range of each check; a check capped below its lower bound fails. "
+        f"These checks have no such range and always run in full: {uncapped}"
+    )
     p.add_argument("--max-k", type=int, default=None, help=max_k_help)
 
     return parser
@@ -178,8 +183,12 @@ def run(argv) -> int:
         return 2
     sys.stdout.write(text)
     if ns.out:
-        with open(ns.out, "wb") as sink:
-            sink.write(text.encode("utf-8"))
+        try:
+            with open(ns.out, "wb") as sink:
+                sink.write(text.encode("utf-8"))
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     return 3 if kind is CheckResult and not all(row.passed for row in rows) else 0
 
 

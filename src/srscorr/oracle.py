@@ -256,6 +256,7 @@ def _track_swaps(pos, i: int, block, N: int) -> None:
     ahead to its partner's position is the only one that can meet a row not
     found up front (a label sent to the step's own position is final), so
     each such label adds the later rows that land on or reach its new place.
+    Every path applies a step with ``_swap``.
 
     The 1/8 is a cost threshold; either path gives the same tracker.  Timed
     on a 2-core host with k = 2..5 and 20..500 lanes, the event path took
@@ -264,15 +265,12 @@ def _track_swaps(pos, i: int, block, N: int) -> None:
     """
     rows, lanes = block.shape
     if rows == 1:  # most steps at many lanes: skip the bookkeeping below
-        j = block[0]
-        moved = (pos == i) | (pos == j)
-        pos ^= moved * (j ^ i)  # x ^ (i ^ j) maps i to j and j to i: the swap, for the labels it moves
+        _swap(pos, i, block[0])
         return
     k = len(pos)
     first = rows if 8 * lanes * k >= N - i else min(rows, max(0, k - i))
     for s, j in enumerate(block[:first], i):
-        moved = (pos == s) | (pos == j)
-        pos ^= moved * (j ^ s)
+        _swap(pos, s, j)
     if first == rows or not k:
         return
     base, tail = i + first, block[first:]
@@ -284,10 +282,8 @@ def _track_swaps(pos, i: int, block, N: int) -> None:
     r = int(pending.argmax())
     while pending[r]:
         s, j = base + r, tail[r]
-        at_s = pos == s
-        moved = at_s | (pos == j)
-        pos ^= moved * (j ^ s)
-        sent = np.flatnonzero(at_s.any(axis=0))
+        _swap(pos, s, j)
+        sent = np.flatnonzero((pos == j).any(axis=0))  # the labels at j now are those that were at s
         if sent.size:  # labels sent ahead from s to j
             ahead = j[sent]
             pending[r + 1 :] |= (tail[r + 1 :, sent] == ahead).any(axis=1)
@@ -296,12 +292,12 @@ def _track_swaps(pos, i: int, block, N: int) -> None:
         r += int(pending[r:].argmax())
 
 
-def _fisher_yates_draws(states, N: int, n: int, width):
-    """Yield step i's swap partner ``i + next_below(N - i)`` for every lane,
-    as a ``width`` array, for i = 0..n-1, advancing ``states`` in place: the
-    rows of ``_fisher_yates_blocks``, one at a time."""
-    for _, block in _fisher_yates_blocks(states, N, n, width):
-        yield from block
+def _swap(pos, s: int, j) -> None:
+    """Apply one Fisher-Yates step to the tracker ``pos`` in place: every lane
+    swaps positions s and j (its entry of ``j``), which moves the tracked
+    labels found at either.  No mask outlives the statement: one held across
+    the multiply costs a 65536-lane step one more tracker-sized array."""
+    pos ^= ((pos == s) | (pos == j)) * (j ^ s)  # x ^ (s ^ j) maps s to j and j to s
 
 
 def _fisher_yates_blocks(states, N: int, n: int, width):
@@ -346,15 +342,13 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
         i += 1
 
 
-def _draw_below(states, bound: int, z=None, tmp=None):
+def _draw_below(states, bound: int, z, tmp):
     """One bounded draw per lane, in lockstep: ``SplitMix64.next_below(bound)``
     for every lane's stream.  Advances ``states`` (a uint64 array) in place,
     redrawing only the lanes whose output falls in the rejection zone, and
     returns the accepted draws reduced below ``bound`` (1 <= bound < 2^64).
-    ``z`` and ``tmp``, uint64 arrays shaped like ``states``, are optional
-    scratch; the draws are returned in ``z``."""
-    if z is None:
-        z, tmp = np.empty_like(states), np.empty_like(states)
+    ``z`` and ``tmp`` are the caller's uint64 scratch arrays shaped like
+    ``states``; the draws are returned in ``z``."""
     golden = np.uint64(_GOLDEN)
     states += golden
     z[...] = states

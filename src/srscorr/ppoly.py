@@ -60,25 +60,23 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Immutable dense polynomial with exact rational coefficients.
 
-    Coefficients are stored lowest degree first with trailing zeros stripped;
-    the zero polynomial is the empty tuple and reports degree -1.  The
-    operations are evaluation, ``*`` by a polynomial or a scalar, ``**`` and
-    ``==``.
+    Coefficients are stored lowest degree first, each a ``Fraction``, with
+    trailing zeros stripped; the zero polynomial is the empty tuple and
+    reports degree -1.  The operations are evaluation, ``*`` by a polynomial
+    or a scalar, ``**`` and ``==``.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...] = ()
 
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @property
     def degree(self) -> int:
@@ -120,14 +118,6 @@ class Poly:
         for _ in range(exponent):
             out = out * base
         return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -34,8 +34,6 @@ __all__ = [
     "columns_of",
     "SCHEMAS",
     "CORR_COLUMNS",
-    "LIMIT_COLUMNS",
-    "MC_COLUMNS",
 ]
 
 
@@ -113,8 +111,6 @@ def columns_of(kind: type) -> tuple[str, ...]:
 
 
 CORR_COLUMNS = columns_of(CorrRecord)
-LIMIT_COLUMNS = columns_of(LimitSpec)
-MC_COLUMNS = columns_of(McEstimate)
 
 
 def row_to_obj(row, precision: int) -> dict:

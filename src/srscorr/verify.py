@@ -569,7 +569,11 @@ def run_suite(name: str, max_k: int | None = None) -> list[CheckResult]:
     ``max_k`` caps the order-like range of each check (useful for quick
     smoke runs); ``None`` keeps every check at its full stated range.  A
     cap below a check's lower bound leaves it nothing to compare, so it
-    fails.
+    fails.  Six checks have no order-like range and run in full under any
+    cap: ``trivial-orders``, ``pair-closed-form``,
+    ``unit-set-exchangeability``, ``sampler-uniformity``,
+    ``sampler-draw-budget`` and ``mc-bit-reproducibility``; they take most
+    of a capped run's time.
     """
     if max_k is not None and max_k < 0:
         raise DomainError(f"max_k must be >= 0, got {max_k}")

@@ -172,6 +172,19 @@ def test_csv_out_is_rfc4180_parseable(tmp_path, capsys):
     assert all(row[3] == "true" for row in rows[1:])
 
 
+@pytest.mark.parametrize("target", [".", "missing/x"], ids=["a directory", "a missing parent"])
+def test_unwritable_out_exits_2_with_one_line(target, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "srscorr", "corr", "--k", "2", "--N", "10", "--n", "5", "--out", str(tmp_path / target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert parse_corr_row(proc.stdout) == evaluate_correlation(2, 10, 5)
+
+
 def _int_max_str_digits():
     # the process-wide limit exists from Python 3.11 (and 3.10.7) on
     return getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -248,8 +248,9 @@ def test_lockstep_draw_redraws_like_next_below():
     seeds = [trial_stream_seed(5, t) for t in range(lanes)]
     rngs = [Counting(s) for s in seeds]
     states = np.array(seeds, dtype=np.uint64)
+    z, tmp = np.empty((2, lanes), dtype=np.uint64)
     for _ in range(steps):
-        draws = oracle._draw_below(states, bound)
+        draws = oracle._draw_below(states, bound, z, tmp)
         assert draws.tolist() == [rng.next_below(bound) for rng in rngs]
     assert states.tolist() == [rng.state for rng in rngs]
     assert Counting.raw > lanes * steps
@@ -305,7 +306,8 @@ def test_monte_carlo_agrees_with_scalar_replay(design):
         mock.patch.object(oracle, "_DRAW_BUDGET", draw_budget),
         mock.patch.object(oracle, "_BLOCK_MAX_N", 2**64 if blocks_past_2_32 else oracle._BLOCK_MAX_N),
     ):
-        rows = [row.tolist() for row in oracle._fisher_yates_draws(states, N, n, np.dtype(np.uint64))]
+        blocks = oracle._fisher_yates_blocks(states, N, n, np.dtype(np.uint64))
+        rows = [row.tolist() for _, block in blocks for row in block]
         assert rows == [list(steps) for steps in zip(*draws)]
         assert states.tolist() == ends
         assert oracle._intersection_histogram(k, N, n, trials, seed) == hist

@@ -1,12 +1,15 @@
 """Byte-identity guard: the exact stdout and ``--out`` bytes of every verb,
-pinned by digest.  Uses only ``srscorr.cli.run``, so it runs unchanged
-against any revision of the package."""
+and the full ``verify`` report, pinned by digest.  Uses only
+``srscorr.cli.run``, ``emit_report`` and the check registry, so it runs
+unchanged against any revision of the package."""
 
 import hashlib
 
 import pytest
 
 from srscorr import cli
+from srscorr.report import emit_report
+from srscorr.verify import CHECKS
 
 # sha256 of the stdout (and of the ``--out`` file) of a fixed argv matrix.  A
 # change to any emitted byte fails here, and has to be explained.
@@ -68,3 +71,18 @@ def test_scan_with_no_interior_design_prints_the_csv_header(capsys):
     out, err = captured.out, captured.err
     assert code == 0 and "warning" in err
     assert out == "k,N,n,f,corr,scaled,scaled_decimal,limit,abs_error_decimal\n"
+
+
+# sha256 of ``python -m srscorr verify`` stdout: every registry check at its full range.
+_VERIFY_DIGESTS = {
+    "json": "a1710d6fab64a40c097556675d55f3323d6ccdcf5822c0af09362bae8928ca99",
+    "csv": "8b8785f98f43caf8a6f9cc4b50f388feb5b1c21e2fda1c2319d1a26c146ac517",
+}
+
+
+@pytest.mark.parametrize("format", sorted(_VERIFY_DIGESTS))
+def test_full_verify_report_bytes_are_pinned(format, check_result):
+    # the session-cached results render as the verb does, so no check runs twice
+    rows = [check_result(check.identity)[0] for check in CHECKS]
+    text = emit_report(rows, format)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _VERIFY_DIGESTS[format]

@@ -16,8 +16,7 @@ from srscorr.oracle import McEstimate, monte_carlo_corr
 from srscorr.ppoly import PolyRecord
 from srscorr.report import (
     CORR_COLUMNS,
-    LIMIT_COLUMNS,
-    MC_COLUMNS,
+    columns_of,
     decimal_str,
     emit_report,
     parse_corr_row,
@@ -114,7 +113,7 @@ def test_emit_report_rejects_unknown_format():
 def test_limit_rows():
     text = emit_report([limit_spec(3, Fraction(1, 3))], "json", precision=8)
     obj = json.loads(text)
-    assert list(obj.keys()) == list(LIMIT_COLUMNS)
+    assert list(obj.keys()) == list(columns_of(LimitSpec))
     assert obj["value"] == "4/27"
     assert obj["value_decimal"] == "0.14814815"
     assert obj["exponent"] == 2
@@ -124,7 +123,7 @@ def test_mc_rows_carry_floats_exactly():
     est = monte_carlo_corr(2, 10, 5, trials=3000, seed=17)
     text = emit_report([est], "json")
     obj = json.loads(text)
-    assert list(obj.keys()) == list(MC_COLUMNS)
+    assert list(obj.keys()) == list(columns_of(McEstimate))
     assert obj["mean"] == est.mean  # repr round-trip keeps every bit
     assert obj["stderr"] == est.stderr
     assert obj["trials"] == 3000 and obj["seed"] == 17
