@@ -12,8 +12,9 @@ Verbs:
 Exit codes: 0 success; 1 usage error (argv does not parse: unknown verb or
 flag, malformed integer or rational literal, missing required flag);
 2 computation error (a domain or budget violation raised while executing
-the verb, e.g. n > N, f outside (0,1), enumeration guard exceeded) or an
-``--out`` file that cannot be written (stdout has the output by then);
+the verb, e.g. n > N, f outside (0,1), enumeration guard exceeded), a
+stdout whose reader has closed it, or an ``--out`` file that cannot be
+written (stdout has the output by then);
 3 verification failure (``verify`` ran and a check failed or compared nothing).
 
 Rationals on the command line are always exact literals ``p/q`` (or bare
@@ -24,6 +25,7 @@ binary rounding.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -181,7 +183,16 @@ def run(argv) -> int:
     except SrsCorrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader is gone; point stdout at devnull so the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     if ns.out:
         try:
             with open(ns.out, "wb") as sink:

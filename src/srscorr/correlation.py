@@ -25,9 +25,10 @@ Scaled limits (``theorem_limit``): with f fixed and e(k) the parity exponent
     odd  k:  (f (f-1))^((k-1)/2) (2f - 1) ((k-1)/3) E Z^(k+1)
 
 where Z is standard normal.  ``alpha_coefficients`` expands Corr(k) (N)_k
-into integer coefficients of f-powers and N-powers, from the Stirling numbers
-of (n)_j (the suffix values P0[j, v](1) = c(j, j-v)) and the suffix-form
-recursion polynomials of (N-j)_(k-j).  ``coefficient_limit`` gives the limit
+into integer coefficients of f-powers and N-powers: the power-basis row of
+(n)_j follows from the row of (n)_(j-1) by the recurrence
+(n)_j = (n)_(j-1) (n - j + 1), and the row of (N-j)_(k-j) is read from the
+suffix-form recursion polynomials P0.  ``coefficient_limit`` gives the limit
 of each scaled f-coefficient; summing those limits against powers of f
 recovers the theorem limit, a polynomial identity the verification suite
 checks exactly.
@@ -45,10 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import floor, perm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import DomainError, check_design
-from .exactnum import binomial, falling_factorial, normal_moment, stirling_first_unsigned
+from .exactnum import binomial, falling_factorial, normal_moment
 from .ppoly import p0_eval
 
 __all__ = [
@@ -150,9 +151,9 @@ class AlphaTable:
 
         alpha(k, f) = sum_{v=0}^{k} f^(k-v) sum_{r=0}^{k} coeffs[v][r] N^r.
 
-    The table is built once per k from the Stirling numbers of (n)_j, which
-    are the suffix values P0[j, v](1) = c(j, j-v), and the suffix-form
-    recursion polynomials of (N-j)_(k-j), and memoised by k, so
+    The table is built once per k from the power-basis rows of (n)_j, each
+    from the one before it, and the suffix-form recursion polynomials of
+    (N-j)_(k-j), and memoised by k, so
     ``alpha_coefficients(k)`` returns the same object on every call.  It is
     exact; reconstructing Corr through it is an independent route that must
     agree with ``corr_exact`` on every admissible design.
@@ -194,15 +195,19 @@ def alpha_coefficients(k: int) -> AlphaTable:
         (n)_j       = sum_v (-1)^v c(j, j-v) n^(j-v)
         (N-j)_(k-j) = sum_i (-1)^i P0[k, i](j) N^(k-j-i)
 
-    where c is the unsigned Stirling number of the first kind, the suffix
-    value P0[j, v](1) = c(j, j-v).  With n = fN, entry (v, i) of the rows'
-    product, times (-1)^(k-j) C(k, j), adds to the coefficient of
-    f^(k-v) N^(k-v-i).  All entries are integers.
+    where c is the unsigned Stirling number of the first kind.  With n = fN,
+    entry (v, i) of the rows' product, times (-1)^(k-j) C(k, j), adds to the
+    coefficient of f^(k-v) N^(k-v-i).  All entries are integers.
 
-    For each j the signed tail, times (-1)^(k-j) C(k, j), is built once in
-    reverse order, so that it lines up with the segment N^(j-v)..N^(k-v) of
-    row v; each head term h then adds h times that tail into the segment in
-    one slice assignment.  The finished table is memoised by k.
+    The head row of (n)_j is updated in place from the row of (n)_(j-1) by
+    (n)_j = (n)_(j-1) (n - j + 1), and its zero constant term (j >= 1) is
+    left out.  The tail row comes from P0, one ``p0_eval`` read per entry.
+    For each j the tail is read in reverse order, so that it lines up with
+    the segment N^(j-v)..N^(k-v) of row v; in that order entry r carries the
+    sign (-1)^r, so the signs and the C(k, j) scale go in with one slice
+    product per parity.  Each head term h then adds h times that tail into
+    its segment in one slice assignment.  The finished table is memoised
+    by k.
     """
     if k < 0:
         raise DomainError(f"alpha_coefficients requires k >= 0, got k={k}")
@@ -210,11 +215,19 @@ def alpha_coefficients(k: int) -> AlphaTable:
     if table is not None:
         return table
     rows = [[0] * (k + 1) for _ in range(k + 1)]
+    # head[v] is the coefficient of n^(j-v) in (n)_j, less the zero constant
+    # term of j >= 1, so (n)_0 = 1 and (n)_1 = n share the row [1]
+    head = [1]
     for j in range(k + 1):
-        scale = (-1) ** (k - j) * binomial(k, j)
-        head = [(-1) ** v * stirling_first_unsigned(j, j - v) for v in range(j + 1)]
-        tail = [scale * (-1) ** i * p0_eval(k, i, j) for i in range(k - j + 1)]
-        tail.reverse()  # tail[r] now lands on N^(j-v+r), so row v's segment is j-v..k-v
+        if j > 1:  # (n)_j = (n)_(j-1) (n - j + 1)
+            head.append(0)
+            head[1:] = map(sub, head[1:], map(mul, repeat(j - 1), head[:-1]))
+        # tail[r] lands on N^(j-v+r), so row v's segment is j-v..k-v; read in
+        # that order, entry r = k-j-i carries the sign (-1)^(k-j+i) = (-1)^r
+        tail = [p0_eval(k, i, j) for i in range(k - j, -1, -1)]
+        scale = binomial(k, j)
+        tail[0::2] = map(mul, repeat(scale), tail[0::2])
+        tail[1::2] = map(mul, repeat(-scale), tail[1::2])
         for v, h in enumerate(head):
             row = rows[v]
             row[j - v : k - v + 1] = map(add, row[j - v : k - v + 1], map(mul, repeat(h), tail))

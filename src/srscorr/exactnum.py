@@ -19,6 +19,8 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
+from operator import add, mul
 
 from .errors import DomainError
 
@@ -102,18 +104,15 @@ def stirling_first_unsigned(j: int, v: int) -> int:
     """Unsigned Stirling number of the first kind: the number of
     permutations of j elements with v cycles.
 
-    Computed from the triangular recurrence
-    ``c(j, v) = (j - 1) c(j-1, v) + c(j-1, v-1)``.  The count is 0 outside
-    the triangle 0 <= v <= j, including for negative v, so the recurrence
-    can be applied without boundary special-casing.
+    Read from a row prefix c(j, 0..w) built by ``_stirling_first_prefix``,
+    so a call never recurses, whatever j is.  The count is 0 outside the
+    triangle 0 <= v <= j, including for negative v.
     """
     if j < 0:
         raise DomainError(f"stirling_first_unsigned requires j >= 0, got j={j}")
-    if j == 0:
-        return 1 if v == 0 else 0
-    if v <= 0 or v > j:
+    if v < 0 or v > j:
         return 0
-    return (j - 1) * stirling_first_unsigned(j - 1, v) + stirling_first_unsigned(j - 1, v - 1)
+    return _stirling_first_prefix(j, _prefix_width(v, j))[v]
 
 
 @cache
@@ -121,15 +120,41 @@ def stirling_second(m: int, k: int) -> int:
     """Stirling number of the second kind: the number of partitions of an
     m-element set into k non-empty blocks.
 
-    Computed from ``S(m, k) = k S(m-1, k) + S(m-1, k-1)``.
+    Read from a row prefix S(m, 0..w) built by ``_stirling_second_prefix``,
+    so a call never recurses, whatever m is.
     """
     if m < 0 or k < 0:
         raise DomainError(f"stirling_second requires m, k >= 0, got ({m}, {k})")
-    if m == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > m:
+    if k > m:
         return 0
-    return k * stirling_second(m - 1, k) + stirling_second(m - 1, k - 1)
+    return _stirling_second_prefix(m, _prefix_width(k, m))[k]
+
+
+def _prefix_width(v: int, top: int) -> int:
+    """The power of two above v, at most top + 1: the widths a kernel's
+    prefixes come in, so reading a whole row of order top builds
+    O(log top) prefixes and O(top^2) entries in all."""
+    return min(top + 1, 1 << v.bit_length())
+
+
+@cache
+def _stirling_first_prefix(j: int, width: int) -> tuple[int, ...]:
+    """c(j, 0..width-1), filled bottom-up one row at a time from the
+    triangular recurrence c(i+1, w) = i c(i, w) + c(i, w-1)."""
+    row = [1] + [0] * (width - 1)  # c(0, 0..width-1)
+    for i in range(j):
+        row = [0, *map(add, map(mul, repeat(i), row[1:]), row)]
+    return tuple(row)
+
+
+@cache
+def _stirling_second_prefix(m: int, width: int) -> tuple[int, ...]:
+    """S(m, 0..width-1), filled bottom-up one row at a time from
+    S(i+1, w) = w S(i, w) + S(i, w-1)."""
+    row = [1] + [0] * (width - 1)  # S(0, 0..width-1)
+    for _ in range(m):
+        row = [0, *map(add, map(mul, range(1, width), row[1:]), row)]
+    return tuple(row)
 
 
 @cache

@@ -4,6 +4,7 @@ codes, and the --out byte stream."""
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -183,6 +184,25 @@ def test_unwritable_out_exits_2_with_one_line(target, tmp_path):
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert parse_corr_row(proc.stdout) == evaluate_correlation(2, 10, 5)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_2_with_one_line(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "srscorr", "limit", "--k", "3", "--f", "1/3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def _int_max_str_digits():

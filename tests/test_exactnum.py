@@ -170,6 +170,18 @@ def test_stirling_second_decomposes_powers_into_falling_factorials():
             assert expanded == Fraction(x) ** m
 
 
+def test_cold_stirling_kernels_at_large_order_match_closed_forms():
+    # orders past the interpreter's recursion limit, read by no other test, so
+    # the cache is cold: the bottom-up fill must not recurse through it
+    j = m = 1200
+    assert stirling_first_unsigned(j, 1) == math.factorial(j - 1)
+    harmonic = sum(Fraction(1, i) for i in range(1, j))
+    assert stirling_first_unsigned(j, 2) == math.factorial(j - 1) * harmonic
+    assert stirling_first_unsigned(j, 5) > 0
+    assert stirling_second(m, 3) == (3**m - 3 * 2**m + 3) // 6
+    assert stirling_second(m, 2) == 2 ** (m - 1) - 1
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and power sums
 

@@ -4,10 +4,11 @@ emitters, including loss-free round trips of evaluated records."""
 import csv
 import io
 import json
+from decimal import ROUND_05UP, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from srscorr.correlation import CorrRecord, LimitSpec, evaluate_correlation, limit_spec
@@ -47,6 +48,37 @@ def test_decimal_str_rounds_half_to_even():
     assert decimal_str(Fraction(25, 2), 1) == "12.5"
     assert decimal_str(Fraction(1, 40), 2) == "0.02"  # 0.025 -> even digit 2
     assert decimal_str(Fraction(3, 40), 2) == "0.08"  # 0.075 -> even digit 8
+
+
+@st.composite
+def _value_and_digits(draw):
+    digits = draw(st.integers(1, 80))
+    num = draw(st.integers(-(10**40), 10**40))
+    den = draw(
+        st.one_of(
+            st.integers(1, 10**40),
+            st.just(2 * 10**digits),  # with an odd numerator, an exact tie at the last digit
+            st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 150), st.integers(0, 150)),
+        )
+    )
+    return Fraction(num, den), digits
+
+
+@given(_value_and_digits())
+@example((Fraction(1, 8), 2))
+@example((Fraction(-3, 8), 2))
+@example((Fraction(-1, 3000), 3))
+def test_decimal_str_equals_decimal_half_even_quantize(case):
+    value, digits = case
+    # ROUND_05UP keeps the digit that half-even needs, given at least one
+    # digit beyond the quantum, so the two roundings equal one exact rounding
+    whole_digits = len(str(abs(value.numerator) // value.denominator))
+    with localcontext(prec=whole_digits + digits + 3, rounding=ROUND_05UP):
+        approx = Decimal(value.numerator) / Decimal(value.denominator)
+        expected = approx.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
+    if expected.is_zero():
+        expected = expected.copy_abs()  # decimal_str never prints -0
+    assert decimal_str(value, digits) == format(expected, "f")
 
 
 def test_decimal_str_never_prints_negative_zero():
