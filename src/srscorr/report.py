@@ -158,11 +158,18 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
     for obj in objs:
         if list(obj.keys()) != keys:
             raise DomainError("all rows in a report must share the same columns")
-    if format == "json":
-        return "".join(json.dumps(obj) + "\n" for obj in objs)
+    try:
+        if format == "json":
+            return "".join(json.dumps(obj) + "\n" for obj in objs)
+        cells = [[_csv_cell(obj[key]) for key in keys] for obj in objs]
+    except ValueError:
+        column = _unprintable_column(objs, keys)
+        if column is None:
+            raise
+        # neither format's parser could read such an int back, so refuse it
+        raise DomainError(f"column {column!r} holds an integer past the int-to-str digit limit") from None
     if not keys:
         return ""
-    cells = [[_csv_cell(obj[key]) for key in keys] for obj in objs]
     # minimal quoting leaves a lone carriage return bare, and readers split lines there
     bare_cr = any("\r" in cell for row in cells for cell in row)
     buf = io.StringIO()
@@ -170,6 +177,17 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
     writer.writerow(keys)
     writer.writerows(cells)
     return buf.getvalue()
+
+
+def _unprintable_column(objs, keys):
+    """The first column whose value JSON cannot render (an int past the digit limit), or None."""
+    for obj in objs:
+        for key in keys:
+            try:
+                json.dumps(obj[key])
+            except ValueError:
+                return key
+    return None
 
 
 def _csv_cell(value) -> str:

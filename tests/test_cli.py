@@ -245,11 +245,19 @@ def test_large_output_exits_zero_without_a_traceback():
     assert parse_row(LimitSpec, proc.stdout) == limit_spec(10000, Fraction(1, 3))
 
 
+def test_scan_past_the_int_to_str_digit_limit_exits_2_with_one_line(capsys):
+    # factor 10^100 over 50 sizes puts N past 4300 digits, which the int column cannot print
+    for format in ("json", "csv"):
+        argv = ["scan", "--k", "2", "--f", "1/2", "--grid-geom", f"10:{10**100}:50", "--format", format]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: column 'N'") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
-    assert cli.run(["--help"]) == 0
-    capsys.readouterr()
-    assert cli.run(["corr", "--help"]) == 0
-    capsys.readouterr()
+    for argv in (["--help"], ["corr", "--help"], ["verify", "--help"]):
+        assert cli.run(argv) == 0
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

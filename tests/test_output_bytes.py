@@ -39,6 +39,8 @@ _PINNED_OUTPUTS = [
     ("mc --k 3 --N 50 --n 20 --trials 5000 --seed 7 --format csv", "17b2620364140448a92d82bc8d58bce6488344355d274208db653e3a88765e96"),
     ("ppoly --k 8 --m 3 --format csv", "183448dd9d1cb9290e0803824647c9bfee5f1733f10fd5a139614fd6eb33ee13"),
     ("verify --suite exactnum --max-k 3 --format csv", "b196241f242954cacca20c106ec3454ce90b4fffeba699a083f0003f82df916c"),
+    # every check capped, at the smallest cap where each one still compares something
+    ("verify --max-k 2", "4bac54580f79cc68b21989a5dbc0efb3bc8a5dd3c71d34683b8fc42babdbf28e"),
     # benchmark scale: orders up to 128 at N near 10^7, as in perfbench's exact-scan
     ("corr --k 118 --N 9876543 --n 3950617 --format json --precision 80", "40a42ce7267569b7fe1b1ff199a37a5f0163661262341772a3bf7b0b10c41ffe"),
     ("scan --k 128 --f 37/97 --grid-geom 1234567:3/2:6 --format json --precision 12", "3b2c3da90fc9d1df2b62e73ff56b4712fefdc89325284527fa1f72429e4b7f28"),

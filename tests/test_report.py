@@ -161,6 +161,14 @@ def test_mc_rows_carry_floats_exactly():
     assert obj["trials"] == 3000 and obj["seed"] == 17
 
 
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_an_int_past_the_digit_limit_is_refused_by_name(format):
+    # neither JSON nor CSV parsing could read such an int back, so no output is the exact answer
+    est = McEstimate(k=2, N=10**5000, n=3, trials=10, seed=1, mean=0.0, stderr=0.0)
+    with pytest.raises(DomainError, match="column 'N'"):
+        emit_report([est], format)
+
+
 def test_row_to_obj_passes_prebuilt_dicts_through():
     # callers handing in dicts are responsible for JSON-safe values already
     obj = row_to_obj({"a": "1/3", "b": 2, "flag": True}, precision=4)

@@ -40,14 +40,25 @@ def test_a_check_that_compares_nothing_fails(capsys):
         "vanishing-window",
         "leading-coefficients",
         "point-form-remainder-degree",
+        "trivial-orders",
+        "pair-closed-form",
         "coefficient-sum-identity",
         "per-coefficient-convergence",
         "scaled-sequence-boundedness",
+        "unit-set-exchangeability",
+        "sampler-uniformity",
+        "mc-bit-reproducibility",
     ]
     for row in empty:
         assert row["passed"] is False
         assert row["detail"] and "\n" not in row["detail"]
     assert all(row["passed"] for row in rows if row["cases"] > 0)
+
+
+def test_max_k_caps_every_check(capsys, check_result):
+    _, rows = _verify_rows(capsys, "--max-k", "0")
+    for row in rows:
+        assert row["cases"] < check_result(row["identity"])[0].cases, row["identity"]
 
 
 def test_coefficient_sum_identity_starts_at_order_two(capsys):
