@@ -35,7 +35,6 @@ from .exactnum import (
 from .oracle import (
     DEFAULT_MC_SEED,
     McEstimate,
-    SampleSubset,
     SplitMix64,
     brute_force_corr,
     hypergeom_inclusion_prob,

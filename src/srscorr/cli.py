@@ -135,16 +135,6 @@ def build_parser() -> _Parser:
 _shared_parser = cache(build_parser)
 
 
-def _scan(ns) -> list[CorrRecord]:
-    grid = ns.grid if ns.grid is not None else ns.grid_geom
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = convergence_scan(ns.k, ns.f, grid)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return records
-
-
 def _ppoly(ns) -> list[PolyRecord]:
     poly = p_poly(ns.k, ns.m)
     return [PolyRecord(k=ns.k, m=ns.m, degree=poly.degree, coefficients=poly.coeffs)]
@@ -155,7 +145,7 @@ def _ppoly(ns) -> list[PolyRecord]:
 _VERBS = {
     "corr": (CorrRecord, lambda ns: [evaluate_correlation(ns.k, ns.N, ns.n)]),
     "limit": (LimitSpec, lambda ns: [limit_spec(ns.k, ns.f)]),
-    "scan": (CorrRecord, _scan),
+    "scan": (CorrRecord, lambda ns: convergence_scan(ns.k, ns.f, ns.grid if ns.grid is not None else ns.grid_geom)),
     "mc": (McEstimate, lambda ns: [monte_carlo_corr(ns.k, ns.N, ns.n, ns.trials, ns.seed)]),
     "ppoly": (PolyRecord, _ppoly),
     "verify": (CheckResult, lambda ns: run_suite(ns.suite, ns.max_k)),
@@ -174,11 +164,15 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     kind, compute = _VERBS[ns.verb]
     try:
-        rows = compute(ns)
-        text = emit_report(rows, ns.format, ns.precision, columns=columns_of(kind))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = compute(ns)
+            text = emit_report(rows, ns.format, ns.precision, columns=columns_of(kind))
     except SrsCorrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)  # the one stderr line: warnings of a failed run are dropped
         return 2
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

@@ -248,12 +248,8 @@ def coefficient_limit(k: int, v: int) -> Fraction:
         raise DomainError(f"coefficient_limit requires k, v >= 0, got ({k}, {v})")
     if k % 2 == 0:
         h = k // 2
-        if v > h:
-            return Fraction(0)
         return Fraction((-1) ** v * normal_moment(k) * binomial(h, v))
     h = (k + 1) // 2
-    if v > h:
-        return Fraction(0)
     return (
         Fraction(2, 3)
         * (-1) ** v

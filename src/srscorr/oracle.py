@@ -17,8 +17,8 @@ reproducible from this docstring alone, on any platform):
 Bounded draws use unbiased rejection: draw a 64-bit z, accept z mod bound
 when z < 2^64 - (2^64 mod bound), else redraw; the bound runs from 1 to
 2^64.  ``sample_srs`` performs a partial Fisher-Yates shuffle consuming
-exactly n bounded draws (one per selected position); each bounded draw
-consumes one or more raw outputs.
+exactly n bounded draws (one per selected position) and returns the sorted
+member labels; each bounded draw consumes one or more raw outputs.
 
 ``monte_carlo_corr`` partitions its trials into chunks of size one: trial t
 runs on a private SplitMix64 stream whose initial state is the (t+1)-th raw
@@ -54,7 +54,6 @@ __all__ = [
     "DEFAULT_MC_SEED",
     "ENUMERATION_BUDGET",
     "trial_stream_seed",
-    "SampleSubset",
     "sample_srs",
     "hypergeom_inclusion_prob",
     "brute_force_corr",
@@ -125,17 +124,9 @@ def trial_stream_seed(seed: int, t: int) -> int:
     return _mix64((seed + (t + 1) * _GOLDEN) & _MASK64)
 
 
-@dataclass(frozen=True)
-class SampleSubset:
-    """A realized simple random sample: sorted member labels from {0..N-1}."""
-
-    N: int
-    n: int
-    members: tuple[int, ...]
-
-
-def sample_srs(N: int, n: int, rng: SplitMix64) -> SampleSubset:
-    """Draw a uniform n-subset of {0, ..., N-1} by partial Fisher-Yates.
+def sample_srs(N: int, n: int, rng: SplitMix64) -> tuple[int, ...]:
+    """Draw a uniform n-subset of {0, ..., N-1} by partial Fisher-Yates and
+    return its member labels, sorted.
 
     Position i (0-based, i < n) swaps with a uniform position in [i, N);
     the sample is the first n slots of the permutation.  Consumes exactly n
@@ -150,7 +141,7 @@ def sample_srs(N: int, n: int, rng: SplitMix64) -> SampleSubset:
         j = i + rng.next_below(N - i)
         members.append(moved.get(j, j))
         moved[j] = moved.pop(i, i)  # slot i is final; no later step reads it
-    return SampleSubset(N=N, n=n, members=tuple(sorted(members)))
+    return tuple(sorted(members))
 
 
 def hypergeom_inclusion_prob(k: int, N: int, n: int) -> Fraction:
@@ -247,16 +238,16 @@ def _track_swaps(pos, i: int, block, N: int) -> None:
     i + r.
 
     A step moves a tracked label only at an event: its partner lands on a
-    tracked position, or the step reaches one.  Steps below k reach labels
-    0..k-1 where they start, so they, single-row blocks, and blocks in which
-    a step expects at least 1/8 partner hit over all lanes (8 lanes k >= N - i)
-    swap row by row.  Otherwise the event rows are found up front, by k
-    compares of the block against ``pos`` and the rows whose step reaches a
-    tracked position, and only those are applied.  A label that a step sends
-    ahead to its partner's position is the only one that can meet a row not
-    found up front (a label sent to the step's own position is final), so
-    each such label adds the later rows that land on or reach its new place.
-    Every path applies a step with ``_swap``.
+    tracked position, or the step reaches one.  Single-row blocks, an empty
+    tracker, and blocks in which a step expects at least 1/8 partner hit over
+    all lanes (8 lanes k >= N - i) swap row by row.  Otherwise the event rows
+    are found up front, by k compares of the block against ``pos`` and the
+    rows whose step reaches a tracked position (which covers every step below
+    k, as labels 0..k-1 start there), and only those are applied.  A label
+    that a step sends ahead to its partner's position is the only one that can
+    meet a row not found up front (a label sent to the step's own position is
+    final), so each such label adds the later rows that land on or reach its
+    new place.  Both paths apply a step with ``_swap``.
 
     The 1/8 is a cost threshold; either path gives the same tracker.  Timed
     on a 2-core host with k = 2..5 and 20..500 lanes, the event path took
@@ -264,30 +255,25 @@ def _track_swaps(pos, i: int, block, N: int) -> None:
     even near 1/4.
     """
     rows, lanes = block.shape
-    if rows == 1:  # most steps at many lanes: skip the bookkeeping below
-        _swap(pos, i, block[0])
-        return
     k = len(pos)
-    first = rows if 8 * lanes * k >= N - i else min(rows, max(0, k - i))
-    for s, j in enumerate(block[:first], i):
-        _swap(pos, s, j)
-    if first == rows or not k:
+    if rows == 1 or not k or 8 * lanes * k >= N - i:
+        for s, j in enumerate(block, i):
+            _swap(pos, s, j)
         return
-    base, tail = i + first, block[first:]
-    hit = tail == pos[0]
+    hit = block == pos[0]
     for p in pos[1:]:
-        hit |= tail == p
+        hit |= block == p
     pending = hit.any(axis=1)
-    pending[pos[(pos >= base) & (pos < i + rows)] - base] = True  # rows that reach a tracked label
+    pending[pos[(pos >= i) & (pos < i + rows)] - i] = True  # rows that reach a tracked label
     r = int(pending.argmax())
     while pending[r]:
-        s, j = base + r, tail[r]
+        s, j = i + r, block[r]
         _swap(pos, s, j)
         sent = np.flatnonzero((pos == j).any(axis=0))  # the labels at j now are those that were at s
         if sent.size:  # labels sent ahead from s to j
             ahead = j[sent]
-            pending[r + 1 :] |= (tail[r + 1 :, sent] == ahead).any(axis=1)
-            pending[ahead[ahead < i + rows] - base] = True
+            pending[r + 1 :] |= (block[r + 1 :, sent] == ahead).any(axis=1)
+            pending[ahead[ahead < i + rows] - i] = True
         pending[r] = False  # only now: a step that swaps s with itself marks its own row
         r += int(pending[r:].argmax())
 
@@ -308,8 +294,9 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
     Where lanes are few (and N <= ``_BLOCK_MAX_N``), one block mixes the
     candidate outputs of up to ``_DRAW_BUDGET // lanes`` steps at once.  A
     step's candidate is the lane's next raw output, so the block is exact up
-    to the first step in which some lane's output falls in its rejection
-    zone; the block is cut there, ``states`` advances past the accepted steps
+    to the first step in which some lane's output exceeds the largest
+    accepted output, ``_MASK64 - 2^64 mod bound``, that ``_draw_below`` also
+    reads; the block is cut there, ``states`` advances past the accepted steps
     only, and that step goes through ``_draw_below``'s redraw loop as a
     one-row block.  All draws of a call mix in the same two scratch arrays,
     so no step allocates a lane-sized temporary.
@@ -345,22 +332,22 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
 def _draw_below(states, bound: int, z, tmp):
     """One bounded draw per lane, in lockstep: ``SplitMix64.next_below(bound)``
     for every lane's stream.  Advances ``states`` (a uint64 array) in place,
-    redrawing only the lanes whose output falls in the rejection zone, and
-    returns the accepted draws reduced below ``bound`` (1 <= bound < 2^64).
-    ``z`` and ``tmp`` are the caller's uint64 scratch arrays shaped like
-    ``states``; the draws are returned in ``z``."""
+    redrawing only the lanes whose output exceeds the largest accepted
+    output, ``_MASK64 - 2^64 mod bound`` (which fits in uint64 for every
+    bound), and returns the accepted draws reduced below ``bound``
+    (1 <= bound < 2^64).  ``z`` and ``tmp`` are the caller's uint64 scratch
+    arrays shaped like ``states``; the draws are returned in ``z``."""
     golden = np.uint64(_GOLDEN)
     states += golden
     z[...] = states
     _mix64_vec(z, tmp)
-    threshold = (1 << 64) - ((1 << 64) % bound)
-    if threshold < (1 << 64) and z.max() >= threshold:  # otherwise every draw is accepted
-        threshold = np.uint64(threshold)
-        reject = z >= threshold
+    limit = _MASK64 - (1 << 64) % bound
+    if z.max() > limit:  # otherwise every draw is accepted
+        reject = z > limit
         while reject.any():
             states[reject] += golden
             z[reject] = _mix64_vec(states[reject])
-            reject = z >= threshold
+            reject = z > limit
     # z %= bound, as z - (z // bound) * bound: division by one scalar is far faster than remainder
     bound = np.uint64(bound)
     tmp = np.floor_divide(z, bound, out=tmp)

@@ -100,8 +100,6 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

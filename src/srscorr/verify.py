@@ -520,7 +520,7 @@ def _(r, top):
             break
         reference = brute_force_corr(k, N, n)
         for _ in range(5):
-            members = sample_srs(N, k, rng).members
+            members = sample_srs(N, k, rng)
             r.equal(
                 brute_force_corr(k, N, n, members=members),
                 reference,
@@ -537,7 +537,7 @@ def _(r, top):
         rng = SplitMix64(DEFAULT_MC_SEED + N * 100 + n)
         counts = {c: 0 for c in itertools.combinations(range(N), n)}
         for _ in range(draws):
-            counts[sample_srs(N, n, rng).members] += 1
+            counts[sample_srs(N, n, rng)] += 1
         p = 1 / math.comb(N, n)
         sigma = math.sqrt(p * (1 - p) / draws)
         for subset, c in counts.items():

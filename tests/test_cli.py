@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: verbs, output formats, exit
 codes, and the --out byte stream."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,13 +13,15 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srscorr import cli
 from srscorr.correlation import LimitSpec, evaluate_correlation, limit_spec
 from srscorr.oracle import DEFAULT_MC_SEED, monte_carlo_corr
 from srscorr.ppoly import PolyRecord, p_poly
 from srscorr.report import parse_corr_row, parse_mc_row, parse_row
-from srscorr.verify import CheckResult
+from srscorr.verify import SUITE_NAMES, CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -308,12 +311,84 @@ def test_computation_errors_exit_2(capsys):
         ["scan", "--k", "1", "--f", "1/2", "--grid", "10,20"],  # order below 2
         ["scan", "--k", "2", "--f", "1/2", "--grid", "20,10"],  # non-ascending grid
         ["mc", "--k", "2", "--N", "10", "--n", "5", "--trials", "0"],
+        ["verify", "--max-k", "-1"],  # negative cap
+        ["corr", "--k", "2", "--N", "10", "--n", "5", "--precision", "0"],  # no decimal digits
     ]
     for argv in bad_argvs:
         code = cli.run(argv)
         err = capsys.readouterr().err
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+# value pools of the argv fuzzer below
+_INTS = st.integers(-1, 60).map(str)
+_RATIONALS = st.sampled_from(["0", "1", "1/100", "1/3", "2/5", "7/5", "0.5", "1/0", "p/q"])
+_SIZES = st.lists(st.integers(-1, 60), max_size=5)
+_GRID = st.one_of(_SIZES, _SIZES.map(sorted)).map(lambda sizes: ",".join(map(str, sizes)))
+_GRID_GEOM = st.tuples(_INTS, _RATIONALS, st.integers(-1, 5)).map(lambda parts: ":".join(map(str, parts)))
+_OUT = "<out>"  # replaced by a path under the test's temporary directory
+_EXTRA_FLAGS = {
+    "--format": st.sampled_from(["json", "csv", "yaml"]),
+    "--precision": _INTS,
+    "--out": st.just(_OUT),
+    "--frob": _INTS,  # no verb has it
+}
+# verb -> (flags always given, so that no draw runs long; the verb's other
+# flags, each dropped now and then; flags the fuzzer adds now and then)
+_VERB_FLAGS = {
+    "corr": ({}, {"--k": _INTS, "--N": _INTS, "--n": _INTS}, {}),
+    "limit": ({}, {"--k": _INTS, "--f": _RATIONALS}, {}),
+    "scan": ({}, {"--k": _INTS, "--f": _RATIONALS, "--grid": _GRID}, {"--grid-geom": _GRID_GEOM}),
+    "mc": (
+        {"--trials": st.one_of(_INTS, st.just("2000"))},
+        {"--k": _INTS, "--N": _INTS, "--n": _INTS},
+        {"--seed": _INTS},
+    ),
+    "ppoly": ({}, {"--k": _INTS, "--m": _INTS}, {}),
+    "verify": (
+        {"--max-k": st.sampled_from(["-1", "0", "1"])},
+        {},
+        {"--suite": st.sampled_from(SUITE_NAMES + ("all", "nope"))},
+    ),
+}
+
+
+@st.composite
+def _argvs(draw):
+    verb = draw(st.sampled_from(sorted(_VERB_FLAGS)))
+    always, usual, extra = _VERB_FLAGS[verb]
+    pools = {**always, **usual, **extra, **_EXTRA_FLAGS}
+    dropped = draw(st.sampled_from(sorted(usual))) if usual and draw(st.integers(0, 3)) == 0 else None
+    added = draw(st.lists(st.sampled_from(sorted({**extra, **_EXTRA_FLAGS})), unique=True, max_size=2))
+    flags = [*always, *(flag for flag in usual if flag != dropped), *added]
+    argv = [verb]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(pools[flag])]
+    return argv
+
+
+@settings(max_examples=200)
+@given(_argvs())
+@example(["scan", "--k", "2", "--f", "1/100", "--grid", "10,200", "--precision", "0"])  # a warning, then an error
+def test_any_argv_exits_with_a_documented_code_and_one_line(tmp_path_factory, argv):
+    """``cli.run`` returns 0-3 for any argv drawn from each verb's own flags,
+    the shared flags and one unknown flag, and never raises; a usage error
+    (1) or a computation error (2) prints exactly one stderr line.  The value
+    pools stay inside cost budgets that the CLI does not enforce yet (on
+    precision, result size, ppoly's (k, m) and MC trials x n): every int is
+    at most 60, MC runs at most 2000 trials, and ``verify`` always gets a
+    ``--max-k`` of at most 1, so no draw can run long."""
+    out = tmp_path_factory.getbasetemp() / "fuzz-out"
+    argv = [str(out) if token == _OUT else token for token in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (1, 2):
+        assert err.startswith("usage error:" if code == 1 else "error:"), (argv, err)
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
 
 
 def test_mc_population_beyond_64_bits_exits_2(capsys):

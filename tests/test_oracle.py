@@ -16,7 +16,6 @@ from srscorr.correlation import corr_exact
 from srscorr.errors import DomainError, EnumerationBoundError
 from srscorr.oracle import (
     DEFAULT_MC_SEED,
-    SampleSubset,
     SplitMix64,
     brute_force_corr,
     hypergeom_inclusion_prob,
@@ -86,13 +85,12 @@ def test_sample_srs_shape():
     rng = SplitMix64(11)
     for _ in range(200):
         s = sample_srs(9, 4, rng)
-        assert isinstance(s, SampleSubset)
-        assert s.N == 9 and s.n == 4
-        assert len(s.members) == 4
-        assert list(s.members) == sorted(set(s.members))
-        assert all(0 <= a < 9 for a in s.members)
-    assert sample_srs(5, 0, rng).members == ()
-    assert sample_srs(5, 5, rng).members == (0, 1, 2, 3, 4)
+        assert isinstance(s, tuple)
+        assert len(s) == 4
+        assert list(s) == sorted(set(s))
+        assert all(0 <= a < 9 for a in s)
+    assert sample_srs(5, 0, rng) == ()
+    assert sample_srs(5, 5, rng) == (0, 1, 2, 3, 4)
 
 
 def _dense_fisher_yates(N, n, rng):
@@ -108,14 +106,14 @@ def test_sample_srs_matches_a_dense_permutation(design, seed):
     # storing only the displaced slots must not change a single draw or member
     N, n = design
     rng, reference = SplitMix64(seed), SplitMix64(seed)
-    assert sample_srs(N, n, rng).members == _dense_fisher_yates(N, n, reference)
+    assert sample_srs(N, n, rng) == _dense_fisher_yates(N, n, reference)
     assert rng.state == reference.state
 
 
 def test_sample_srs_memory_does_not_grow_with_population():
     tracemalloc.start()
     try:
-        members = sample_srs(10**12, 3, SplitMix64(5)).members
+        members = sample_srs(10**12, 3, SplitMix64(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -125,7 +123,7 @@ def test_sample_srs_memory_does_not_grow_with_population():
 
 def test_sample_srs_domain_errors():
     rng = SplitMix64(0)
-    assert sample_srs(0, 0, rng).members == ()  # empty population is fine
+    assert sample_srs(0, 0, rng) == ()  # empty population is fine
     with pytest.raises(DomainError):
         sample_srs(4, 5, rng)
     with pytest.raises(DomainError):
@@ -295,7 +293,7 @@ def test_monte_carlo_agrees_with_scalar_replay(design):
     draws, ends = [], []
     for t in range(trials):
         rng = SplitMix64(trial_stream_seed(seed, t))
-        members = sample_srs(N, n, rng).members
+        members = sample_srs(N, n, rng)
         hist[sum(1 for a in members if a < k)] += 1
         ends.append(rng.state)
         rng = SplitMix64(trial_stream_seed(seed, t))
@@ -328,7 +326,7 @@ def test_monte_carlo_agrees_with_scalar_replay(design):
 def _scalar_histogram(k, N, n, trials, seed):
     hist = [0] * (k + 1)
     for t in range(trials):
-        members = sample_srs(N, n, SplitMix64(trial_stream_seed(seed, t))).members
+        members = sample_srs(N, n, SplitMix64(trial_stream_seed(seed, t)))
         hist[sum(1 for a in members if a < k)] += 1
     return hist
 
