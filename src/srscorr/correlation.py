@@ -28,10 +28,17 @@ where Z is standard normal.  ``alpha_coefficients`` expands Corr(k) (N)_k
 into integer coefficients of f-powers and N-powers: the power-basis row of
 (n)_j follows from the row of (n)_(j-1) by the recurrence
 (n)_j = (n)_(j-1) (n - j + 1), and the row of (N-j)_(k-j) is read from the
-suffix-form recursion polynomials P0.  ``coefficient_limit`` gives the limit
-of each scaled f-coefficient; summing those limits against powers of f
-recovers the theorem limit, a polynomial identity the verification suite
-checks exactly.
+suffix-form recursion polynomials P0.
+
+The N-degree of alpha is at most k//2, which is the theorem's boundedness,
+since e(k) + k//2 = k.  The cumulant route shows why: with
+h_f(t) = f log(1 + (1-f)t) + (1-f) log(1 - ft), which starts at t^2,
+sum_k C(N, k) Corr(k) t^k = exp(N h_f(t)), so N^r reaches t^k only when
+2r <= k.  The table therefore reads and adds only the entries at N^r with
+r <= k//2, and the rest stay 0.  ``coefficient_limit`` gives the limit of
+each scaled f-coefficient, which is the table's N^(k//2) column; summing
+those limits against powers of f recovers the theorem limit, a polynomial
+identity the verification suite checks exactly.
 
 ``_ALPHA_CACHE`` holds each finished ``AlphaTable`` by k, in the idiom of
 ``ppoly._P_CACHE``: the table is frozen and its rows are tuples, so every
@@ -151,6 +158,11 @@ class AlphaTable:
 
         alpha(k, f) = sum_{v=0}^{k} f^(k-v) sum_{r=0}^{k} coeffs[v][r] N^r.
 
+    Every entry with r > k//2 is 0: N^(k//2) is alpha's N-degree, because
+    the cumulant exponent h_f(t) of the module docstring starts at t^2.  Those
+    columns are kept so that both indices run over 0..k, but they are never
+    computed.
+
     The table is built once per k from the power-basis rows of (n)_j, each
     from the one before it, and the suffix-form recursion polynomials of
     (N-j)_(k-j), and memoised by k, so
@@ -201,13 +213,19 @@ def alpha_coefficients(k: int) -> AlphaTable:
 
     The head row of (n)_j is updated in place from the row of (n)_(j-1) by
     (n)_j = (n)_(j-1) (n - j + 1), and its zero constant term (j >= 1) is
-    left out.  The tail row comes from P0, one ``p0_eval`` read per entry.
-    For each j the tail is read in reverse order, so that it lines up with
-    the segment N^(j-v)..N^(k-v) of row v; in that order entry r carries the
-    sign (-1)^r, so the signs and the C(k, j) scale go in with one slice
-    product per parity.  Each head term h then adds h times that tail into
-    its segment in one slice assignment.  The finished table is memoised
-    by k.
+    left out.  The tail row comes from P0 through ``p0_eval``.  For each j
+    the tail is read in reverse order, so that it lines up with the segment
+    N^(j-v)..N^(k-v) of row v; in that order entry r carries the sign
+    (-1)^r, so the signs and the C(k, j) scale go in with one slice product
+    per parity.  Each head term h then adds h times that tail into its
+    segment in one slice assignment.
+
+    The N-degree of alpha is at most k//2 (cumulant route, module
+    docstring), so every entry at N^r with r > k//2 sums to 0.  Only entries
+    at N^r with r <= k//2 are read and added: the tail is read only as far
+    as the row whose segment starts lowest needs it, each segment stops at
+    N^(k//2), and rows whose segment starts above it are skipped.  The
+    finished table is memoised by k.
     """
     if k < 0:
         raise DomainError(f"alpha_coefficients requires k >= 0, got k={k}")
@@ -215,6 +233,7 @@ def alpha_coefficients(k: int) -> AlphaTable:
     if table is not None:
         return table
     rows = [[0] * (k + 1) for _ in range(k + 1)]
+    half = k // 2  # the N-degree bound: every entry past N^half is zero
     # head[v] is the coefficient of n^(j-v) in (n)_j, less the zero constant
     # term of j >= 1, so (n)_0 = 1 and (n)_1 = n share the row [1]
     head = [1]
@@ -223,14 +242,19 @@ def alpha_coefficients(k: int) -> AlphaTable:
             head.append(0)
             head[1:] = map(sub, head[1:], map(mul, repeat(j - 1), head[:-1]))
         # tail[r] lands on N^(j-v+r), so row v's segment is j-v..k-v; read in
-        # that order, entry r = k-j-i carries the sign (-1)^(k-j+i) = (-1)^r
-        tail = [p0_eval(k, i, j) for i in range(k - j, -1, -1)]
+        # that order, entry r = k-j-i carries the sign (-1)^(k-j+i) = (-1)^r.
+        # Only entries r <= top land at or below N^half in some row.
+        top = min(k - j, half - j + len(head) - 1)
+        if top < 0:
+            continue
+        tail = [p0_eval(k, i, j) for i in range(k - j, k - j - top - 1, -1)]
         scale = binomial(k, j)
         tail[0::2] = map(mul, repeat(scale), tail[0::2])
         tail[1::2] = map(mul, repeat(-scale), tail[1::2])
-        for v, h in enumerate(head):
-            row = rows[v]
-            row[j - v : k - v + 1] = map(add, row[j - v : k - v + 1], map(mul, repeat(h), tail))
+        for v in range(max(0, j - half), len(head)):
+            row, lo = rows[v], j - v
+            hi = min(lo + top, half) + 1  # map(add, ...) stops at the slice's end
+            row[lo:hi] = map(add, row[lo:hi], map(mul, repeat(head[v]), tail))
     table = _ALPHA_CACHE[k] = AlphaTable(k=k, coeffs=tuple(map(tuple, rows)))
     return table
 
@@ -302,7 +326,8 @@ def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
     the limit column is evaluated at the target f (not at the realized n/N),
     so the error column isolates pure finite-N convergence.  Grid entries
     whose rounded n lands on 0 or N have no interior design; they are
-    skipped with a warning and the scan continues.
+    skipped with a warning and the scan continues.  A scan that skips every
+    grid entry has no record and raises ``DomainError``.
     """
     if k < 2:
         raise DomainError(f"convergence_scan requires k >= 2, got k={k}")
@@ -326,4 +351,8 @@ def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
             )
             continue
         records.append(evaluate_correlation(k, N, n, limit_f=f))
+    if not records:
+        raise DomainError(
+            f"convergence_scan: all {len(grid)} grid entries round to a boundary sample size at f={f}; no record"
+        )
     return records

@@ -422,6 +422,15 @@ def _(r, top):
             r.equal(limit_poly(f), theorem_limit(k, f), f"k={k} f={f}")
 
 
+@_check("correlation", "alpha-top-column-is-limit", "2 <= k <= {top}, 0 <= v <= k", 60)
+def _(r, top):
+    # N^e(k) Corr(k) = N^e(k) alpha / (N)_k with e(k) + k//2 = k, so the N^(k//2) column is the limit
+    for k in range(2, top + 1):
+        table = alpha_coefficients(k)
+        for v in range(k + 1):
+            r.equal(table.coeffs[v][k // 2], coefficient_limit(k, v), f"k={k} v={v}")
+
+
 @_check(
     "correlation", "per-coefficient-convergence",
     "2 <= k <= {top}, v <= e(k), error ratio at N=1e3 vs 1e4 in [5, 20]", 6,

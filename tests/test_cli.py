@@ -310,15 +310,15 @@ def test_computation_errors_exit_2(capsys):
         ["limit", "--k", "2", "--f", "7/5"],  # fraction outside (0,1)
         ["scan", "--k", "1", "--f", "1/2", "--grid", "10,20"],  # order below 2
         ["scan", "--k", "2", "--f", "1/2", "--grid", "20,10"],  # non-ascending grid
+        ["scan", "--k", "2", "--f", "1/100", "--grid", "10"],  # every grid point rounds to n = 0: no record
         ["mc", "--k", "2", "--N", "10", "--n", "5", "--trials", "0"],
         ["verify", "--max-k", "-1"],  # negative cap
         ["corr", "--k", "2", "--N", "10", "--n", "5", "--precision", "0"],  # no decimal digits
     ]
     for argv in bad_argvs:
-        code = cli.run(argv)
-        err = capsys.readouterr().err
-        assert code == 2, argv
-        assert err.startswith("error:"), argv
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 # value pools of the argv fuzzer below

@@ -160,6 +160,8 @@ def _alpha_reference(k):
 @example(0)
 @example(1)
 @example(60)
+@example(61)
+@example(76)
 def test_alpha_table_matches_reference_route_and_is_memoised_by_k(k):
     _ALPHA_CACHE.clear()
     table = alpha_coefficients(k)

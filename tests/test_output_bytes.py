@@ -32,7 +32,6 @@ _PINNED_OUTPUTS = [
     ("scan --k 4 --f 2/5 --grid 100,200,400 --format csv --precision 12", "986eb52e452a3e7e793010013775bc7548b896ce8f1de71cc68f125c58030c12"),
     ("scan --k 4 --f 2/5 --grid 100,200,400 --format csv --precision 30", "e5c2fdedbb3b7e8710bf25f4a116c86088a085d10ee803cd17ca273381fce729"),
     ("scan --k 4 --f 2/5 --grid 100,200,400 --format csv --precision 80", "70a8b8f8480c05f95d127f9aba0f243a6c031c9a581305df6da21df8e7d1a60b"),
-    ("scan --k 2 --f 1/100 --grid 2,3 --format csv", "48b41eeef88e5a34f932ce4fd730336c78beb8d65390b765da0a7b62d21e539d"),
     ("mc --k 3 --N 50 --n 20 --trials 5000 --seed 7", "ba15c4f2febacb956440d956a5d2b6b4774c8cd25b40720a6f0c06d505e60c13"),
     ("ppoly --k 8 --m 3", "6359f33712afc15e992b20abf7b5ddbc613cb4872455cc9af97d02571731197f"),
     ("verify --suite exactnum --max-k 3", "eab43778acac19fd43bf0b527fdd43604aa42e854125ab1f31a6beef45adcff5"),
@@ -40,7 +39,7 @@ _PINNED_OUTPUTS = [
     ("ppoly --k 8 --m 3 --format csv", "183448dd9d1cb9290e0803824647c9bfee5f1733f10fd5a139614fd6eb33ee13"),
     ("verify --suite exactnum --max-k 3 --format csv", "b196241f242954cacca20c106ec3454ce90b4fffeba699a083f0003f82df916c"),
     # every check capped, at the smallest cap where each one still compares something
-    ("verify --max-k 2", "4bac54580f79cc68b21989a5dbc0efb3bc8a5dd3c71d34683b8fc42babdbf28e"),
+    ("verify --max-k 2", "ae82ce9a0ca04e19ea884218174b68c9b7738ba8cbeb52c6f47393285d3f03d2"),
     # benchmark scale: orders up to 128 at N near 10^7, as in perfbench's exact-scan
     ("corr --k 118 --N 9876543 --n 3950617 --format json --precision 80", "40a42ce7267569b7fe1b1ff199a37a5f0163661262341772a3bf7b0b10c41ffe"),
     ("scan --k 128 --f 37/97 --grid-geom 1234567:3/2:6 --format json --precision 12", "3b2c3da90fc9d1df2b62e73ff56b4712fefdc89325284527fa1f72429e4b7f28"),
@@ -67,18 +66,18 @@ def test_output_bytes_are_pinned(argv, digest, tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
-def test_scan_with_no_interior_design_prints_the_csv_header(capsys):
-    code = cli.run(["scan", "--k", "2", "--f", "1/100", "--grid", "2,3", "--format", "csv"])
-    captured = capsys.readouterr()
-    out, err = captured.out, captured.err
-    assert code == 0 and "warning" in err
-    assert out == "k,N,n,f,corr,scaled,scaled_decimal,limit,abs_error_decimal\n"
+def test_scan_with_no_interior_design_writes_no_bytes(tmp_path, capsys):
+    # every grid point rounds to n = 0: an error, not a bare CSV header
+    target = tmp_path / "out"
+    code = cli.run(["scan", "--k", "2", "--f", "1/100", "--grid", "2,3", "--format", "csv", "--out", str(target)])
+    assert code == 2 and capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 # sha256 of ``python -m srscorr verify`` stdout: every registry check at its full range.
 _VERIFY_DIGESTS = {
-    "json": "a1710d6fab64a40c097556675d55f3323d6ccdcf5822c0af09362bae8928ca99",
-    "csv": "8b8785f98f43caf8a6f9cc4b50f388feb5b1c21e2fda1c2319d1a26c146ac517",
+    "json": "9e002e5af314335c18c49f535abd4594fb78cb7c21a864861155d66b727a487f",
+    "csv": "41fa99e1b7fc67936ff5b5df488d968520be98a1e54f522622c61a312f1664ba",
 }
 
 
