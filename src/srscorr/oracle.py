@@ -53,6 +53,7 @@ __all__ = [
     "SplitMix64",
     "DEFAULT_MC_SEED",
     "ENUMERATION_BUDGET",
+    "MC_STEP_BUDGET",
     "trial_stream_seed",
     "sample_srs",
     "hypergeom_inclusion_prob",
@@ -72,16 +73,26 @@ DEFAULT_MC_SEED = 271828
 #: Hard ceiling on C(N, n) for exhaustive enumeration.
 ENUMERATION_BUDGET = 10_000_000
 
+#: Hard ceiling on trials x max(n, 1), the lane-steps of one Monte Carlo run
+#: (a batch seeds its states even when n = 0): about 40 s of small-N and 90 s
+#: of large-N sampling on a 2-core host.
+MC_STEP_BUDGET = 1 << 32
+
 # Monte Carlo batch shape: at most this many lanes, and at most this many
 # tracker cells (lanes x k) per batch, so sampler memory is bounded by k alone.
-_MAX_LANES = 65536
+# At 32768 lanes each lane-sized uint64 array is 256 KiB, and a k = 5 run
+# peaks near 1.44 MB traced, against 3.08 MB at 65536 lanes, which ran no
+# faster.
+_MAX_LANES = 32768
 _TRACKER_BUDGET = 1 << 20
 # Draws per NumPy block (steps x lanes), so few lanes still make large calls.
+# It equals _MAX_LANES, so a block's two uint64 scratch arrays are no larger
+# than a full batch's rows.
 # A draw below b is rejected with chance under b / 2^64, so a full block is cut
-# with chance under N / 2^48 and blocks stay nearly whole up to N ~ 2^48; they
+# with chance under N / 2^49 and blocks stay nearly whole up to N ~ 2^49; they
 # collapse only near 2^63.  Blocks are used only up to 2^32, a conservative
 # bound that keeps the one-step cost for larger N.
-_DRAW_BUDGET = 1 << 16
+_DRAW_BUDGET = 1 << 15
 _BLOCK_MAX_N = 1 << 32
 
 
@@ -213,21 +224,24 @@ def _intersection_histogram(k: int, N: int, n: int, trials: int, seed: int) -> l
     at j to i.  ``_track_swaps`` applies only the steps that move a tracked
     label, where such steps are sparse; every draw is made all the same.
     After n steps a trial's count is the number of tracked labels at
-    positions below n.  Memory is O(k) per lane and independent of N; the
-    batch size is a fixed constant, which the reproducibility contract makes
-    invisible in the result.
+    positions below n.  Memory is O(k) per lane and independent of N; a
+    batch runs at most ``_MAX_LANES`` lanes, so at small k the sampler's
+    arrays stay near 1.5 MB whatever ``trials`` is, and the reproducibility
+    contract makes the batch size invisible in the result.
     """
     hist = np.zeros(k + 1, dtype=np.int64)
     width = np.min_scalar_type(N - 1)
     lanes_cap = max(1, min(_MAX_LANES, _TRACKER_BUDGET // max(k, 1)))
     for done in range(0, trials, lanes_cap):
         lanes = min(lanes_cap, trials - done)
-        t_idx = np.arange(done + 1, done + lanes + 1, dtype=np.uint64)
-        states = _mix64_vec(np.uint64(seed & _MASK64) + t_idx * np.uint64(_GOLDEN))  # trial_stream_seed
+        states = np.arange(done + 1, done + lanes + 1, dtype=np.uint64)
+        states *= np.uint64(_GOLDEN)
+        states += np.uint64(seed & _MASK64)
+        _mix64_vec(states)  # trial_stream_seed, in place
         pos = np.repeat(np.arange(k, dtype=width)[:, np.newaxis], lanes, axis=1)
         for i, block in _fisher_yates_blocks(states, N, n, width):
             _track_swaps(pos, i, block, N)
-        counts = (pos < n).sum(axis=0)
+        counts = (pos < n).sum(axis=0, dtype=np.min_scalar_type(k))
         hist += np.bincount(counts, minlength=k + 1)
     return [int(c) for c in hist]
 
@@ -282,7 +296,7 @@ def _swap(pos, s: int, j) -> None:
     """Apply one Fisher-Yates step to the tracker ``pos`` in place: every lane
     swaps positions s and j (its entry of ``j``), which moves the tracked
     labels found at either.  No mask outlives the statement: one held across
-    the multiply costs a 65536-lane step one more tracker-sized array."""
+    the multiply costs a full-batch step one more tracker-sized array."""
     pos ^= ((pos == s) | (pos == j)) * (j ^ s)  # x ^ (s ^ j) maps s to j and j to s
 
 
@@ -384,6 +398,9 @@ def monte_carlo_corr(k: int, N: int, n: int, trials: int, seed: int = DEFAULT_MC
     check_design("monte_carlo_corr", k, N, n)
     if N >= 1 << 64:  # the lockstep sampler holds states, bounds and positions in at most 64 bits
         raise DomainError(f"monte_carlo_corr requires N < 2^64, got N={N}")
+    steps = trials * max(n, 1)
+    if steps > MC_STEP_BUDGET:
+        raise DomainError(f"monte_carlo_corr requires trials x max(n, 1) <= {MC_STEP_BUDGET} lane-steps, got {steps}")
     hist = _intersection_histogram(k, N, n, trials, seed)
     f = n / N
     values = []

@@ -312,6 +312,7 @@ def test_computation_errors_exit_2(capsys):
         ["scan", "--k", "2", "--f", "1/2", "--grid", "20,10"],  # non-ascending grid
         ["scan", "--k", "2", "--f", "1/100", "--grid", "10"],  # every grid point rounds to n = 0: no record
         ["mc", "--k", "2", "--N", "10", "--n", "5", "--trials", "0"],
+        ["mc", "--k", "3", "--N", "100", "--n", "50", "--trials", "100000000000"],  # past the Monte Carlo budget
         ["verify", "--max-k", "-1"],  # negative cap
         ["corr", "--k", "2", "--N", "10", "--n", "5", "--precision", "0"],  # no decimal digits
     ]
@@ -341,7 +342,7 @@ _VERB_FLAGS = {
     "limit": ({}, {"--k": _INTS, "--f": _RATIONALS}, {}),
     "scan": ({}, {"--k": _INTS, "--f": _RATIONALS, "--grid": _GRID}, {"--grid-geom": _GRID_GEOM}),
     "mc": (
-        {"--trials": st.one_of(_INTS, st.just("2000"))},
+        {"--trials": st.one_of(_INTS, st.sampled_from(["2000", "100000000000"]))},
         {"--k": _INTS, "--N": _INTS, "--n": _INTS},
         {"--seed": _INTS},
     ),
@@ -376,9 +377,10 @@ def test_any_argv_exits_with_a_documented_code_and_one_line(tmp_path_factory, ar
     the shared flags and one unknown flag, and never raises; a usage error
     (1) or a computation error (2) prints exactly one stderr line.  The value
     pools stay inside cost budgets that the CLI does not enforce yet (on
-    precision, result size, ppoly's (k, m) and MC trials x n): every int is
-    at most 60, MC runs at most 2000 trials, and ``verify`` always gets a
-    ``--max-k`` of at most 1, so no draw can run long."""
+    precision, result size and ppoly's (k, m)): every int is at most 60, and
+    ``verify`` always gets a ``--max-k`` of at most 1, so no draw can run
+    long.  MC runs at most 2000 trials, or 10^11, which the Monte Carlo
+    budget refuses."""
     out = tmp_path_factory.getbasetemp() / "fuzz-out"
     argv = [str(out) if token == _OUT else token for token in argv]
     stdout, stderr = io.StringIO(), io.StringIO()

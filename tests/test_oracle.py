@@ -232,6 +232,22 @@ def test_monte_carlo_population_must_fit_in_64_bits():
         monte_carlo_corr(2, 2**64, 3, trials=50)
 
 
+def test_monte_carlo_cost_is_bounded_up_front():
+    # trials x max(n, 1) lane-steps, refused before the sampler runs
+    assert oracle.MC_STEP_BUDGET == 2**32
+    with mock.patch.object(oracle, "_intersection_histogram", side_effect=AssertionError("sampled")):
+        with pytest.raises(DomainError, match="lane-steps, got"):
+            monte_carlo_corr(3, 100, 50, trials=10**11)
+        with pytest.raises(DomainError, match="lane-steps, got"):
+            monte_carlo_corr(2, 10, 0, trials=2**32 + 1)  # each batch seeds its states even when n = 0
+    with mock.patch.object(oracle, "MC_STEP_BUDGET", 100):
+        assert monte_carlo_corr(2, 10, 5, trials=20).trials == 20  # at the budget
+        assert monte_carlo_corr(2, 10, 0, trials=100).trials == 100
+        for k, N, n, trials in [(2, 10, 5, 21), (2, 10, 0, 101)]:
+            with pytest.raises(DomainError, match="lane-steps, got"):
+                monte_carlo_corr(k, N, n, trials=trials)
+
+
 def test_lockstep_draw_redraws_like_next_below():
     # At bound 2^63 + 1 the acceptance threshold is 2^63 + 1 itself, so about
     # half of all raw outputs fall in the rejection zone and get redrawn.
@@ -284,6 +300,7 @@ _BLOCKS = oracle._DRAW_BUDGET
 @example((3, 65536, 40, 100, 10, 7, _BLOCKS, False))  # the widest population with 16-bit positions
 @example((3, 65537, 40, 100, 11, 7, _BLOCKS, False))  # 32-bit positions
 @example((2, 2**63 + 2**61, 40, 2, 12, 64, _BLOCKS, True))  # blocks past 2^32: 3/8 of raw outputs reject
+@example((300, 400, 390, 5, 13, oracle._MAX_LANES, _BLOCKS, False))  # counts past 255, wider than 8 bits
 def test_monte_carlo_agrees_with_scalar_replay(design):
     # the lockstep draws, final stream states and histogram must reproduce a
     # plain per-trial replay of sample_srs on the same substreams, for any
@@ -383,8 +400,8 @@ def test_event_tracker_meets_both_event_kinds_after_step_k():
 @pytest.mark.parametrize(
     "design, limit_mb",
     [
-        ((3, 90_000, 2_000, 180), 4),  # a few lanes: blocks of many steps
-        ((5, 230, 33, 65536), 5.31),  # a full batch of 65536 lanes, one step per block
+        ((3, 90_000, 2_000, 180), 1.2),  # a few lanes: blocks of many steps
+        ((5, 230, 33, 65536), 2.0),  # two batches of 32768 lanes, one step per block
     ],
 )
 def test_monte_carlo_memory_is_bounded_up_front(design, limit_mb):
@@ -411,9 +428,12 @@ def test_monte_carlo_memory_is_bounded_up_front(design, limit_mb):
         ((5, 230, 15, 65536, 3501332431411006491), "0x1.e1eadf156bf28p-21", "0x1.51255cfb25a80p-20"),
         ((3, 90000, 1000, 180, 84900575075500574), "0x1.70396672a04e4p-19", "0x1.bca33341f16e6p-20"),
         ((8, 100, 37, 4096, 1), "-0x1.6ac8f4e85661fp-16", "0x1.7ba1300fc5272p-15"),
+        ((4, 230, 20, 40000, 20), "-0x1.2027afffe97d0p-16", "0x1.94b512913e65ap-16"),  # 32768 + 7232 lanes
     ],
 )
 def test_monte_carlo_pinned_outputs(design, mean, stderr):
-    # outputs of the dense-permutation sampler this one replaced, to the bit
+    # outputs of earlier samplers, to the bit: the first four rows of the
+    # dense-permutation sampler this one replaced, the last of one 40000-lane
+    # batch, which now runs as two
     est = monte_carlo_corr(*design)
     assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
