@@ -1,36 +1,31 @@
-"""Command-line surface.
+"""Command-line surface: ``srscorr VERB [--FLAG VALUE | --FLAG=VALUE] ...``.
 
-Verbs:
+A unique prefix names a flag (an exact name wins), a repeated flag keeps its
+last value, and ``-h`` or ``--help`` after the verb, or alone, prints help.
 
-* ``corr``   — one exact correlation record for a design (k, N, n)
-* ``limit``  — the scaled large-N limit at order k and fraction f
-* ``scan``   — convergence scan over a grid of population sizes
-* ``mc``     — reproducible Monte Carlo estimate for a design
-* ``ppoly``  — coefficients of one recursion polynomial
-* ``verify`` — run the identity/invariant checks, one row per check
-
-Exit codes: 0 success; 1 usage error (argv does not parse: unknown verb or
-flag, malformed integer or rational literal, missing required flag);
-2 computation error (a domain or budget violation raised while executing
-the verb, e.g. n > N, f outside (0,1), enumeration guard exceeded), a
+Exit codes: 0 success or help; 1 usage error (an unknown verb or flag, an
+ambiguous prefix, a flag with no value or followed by another flag, a stray
+token, a malformed integer or rational literal or a value outside a flag's
+choices, a missing required flag, or ``scan`` with both or neither of
+``--grid`` and ``--grid-geom``); 2 computation error (a domain or budget
+violation, e.g. n > N, f outside (0,1), the enumeration budget exceeded), a
 stdout whose reader has closed it, or an ``--out`` file that cannot be
-written (stdout has the output by then);
-3 verification failure (``verify`` ran and a check failed or compared nothing).
+written (stdout has the output by then); 3 verification failure (``verify``
+ran and a check failed or compared nothing).
 
-Rationals on the command line are always exact literals ``p/q`` (or bare
-integers) — float syntax is rejected so results never silently inherit
-binary rounding.
+Rationals are exact literals ``p/q`` or bare integers: float syntax is
+rejected, so no result silently inherits binary rounding.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
-from functools import cache
 from math import floor
+from types import SimpleNamespace
 
 from .correlation import CorrRecord, LimitSpec, convergence_scan, evaluate_correlation, limit_spec
 from .errors import SrsCorrError
@@ -40,19 +35,7 @@ from .ppoly import PolyRecord, p_poly
 from .report import columns_of, emit_report
 from .verify import SUITE_NAMES, CheckResult, run_suite
 
-__all__ = ["run", "main", "build_parser"]
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exceptions, so the
-    package owns its exit codes instead of argparse's default 2."""
-
-    def error(self, message):
-        raise _UsageError(message)
+__all__ = ["run", "main"]
 
 
 def _grid_csv(text: str) -> list[int]:
@@ -80,59 +63,12 @@ def _grid_geom(text: str) -> list[int]:
     return grid
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="srscorr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format (default json)")
-    common.add_argument("--precision", type=int, default=12, help="decimal digits for decimal columns (default 12)")
-    common.add_argument("--out", metavar="PATH", help="also write the identical bytes to this file")
-
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("corr", parents=[common], help="exact correlation record for one design")
-    p.add_argument("--k", type=int, required=True, help="correlation order")
-    p.add_argument("--N", type=int, required=True, help="population size")
-    p.add_argument("--n", type=int, required=True, help="sample size (0 < n < N so the limit column is defined)")
-
-    p = sub.add_parser("limit", parents=[common], help="scaled large-N limit at order k, fraction f")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--f", type=parse_rational, required=True, help="sampling fraction as p/q in (0,1)")
-
-    p = sub.add_parser("scan", parents=[common], help="convergence scan over population sizes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--f", type=parse_rational, required=True, help="target sampling fraction p/q")
-    grids = p.add_mutually_exclusive_group(required=True)
-    grids.add_argument("--grid", type=_grid_csv, help="comma-separated population sizes, ascending")
-    grids.add_argument(
-        "--grid-geom",
-        type=_grid_geom,
-        metavar="START:FACTOR:COUNT",
-        help="geometric grid: COUNT sizes from START scaled by rational FACTOR (half-up rounding)",
-    )
-
-    p = sub.add_parser("mc", parents=[common], help="reproducible Monte Carlo estimate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_MC_SEED, help=f"PRNG seed (default {DEFAULT_MC_SEED})")
-
-    p = sub.add_parser("ppoly", parents=[common], help="recursion polynomial coefficients")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("verify", parents=[common], help="run identity/invariant suites")
-    p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
-    max_k_help = "cap each check's range; a check capped below its lower bound fails"
-    p.add_argument("--max-k", type=int, default=None, help=max_k_help)
-
-    return parser
-
-
-# The parser ``run`` uses, built on the first call rather than at import, so
-# importing the package does not pay for it; ``parse_args`` leaves it
-# unchanged, so every call can share it.
-_shared_parser = cache(build_parser)
+def _choice(*options: str):
+    def convert(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"choose from {', '.join(options)}")
+        return text
+    return convert
 
 
 def _ppoly(ns) -> list[PolyRecord]:
@@ -140,29 +76,113 @@ def _ppoly(ns) -> list[PolyRecord]:
     return [PolyRecord(k=ns.k, m=ns.m, degree=poly.degree, coefficients=poly.coeffs)]
 
 
-# verb -> (record kind, rows for the parsed arguments).  The computations are
-# looked up by module-level name at call time, so patching one takes effect.
-_VERBS = {
-    "corr": (CorrRecord, lambda ns: [evaluate_correlation(ns.k, ns.N, ns.n)]),
-    "limit": (LimitSpec, lambda ns: [limit_spec(ns.k, ns.f)]),
-    "scan": (CorrRecord, lambda ns: convergence_scan(ns.k, ns.f, ns.grid if ns.grid is not None else ns.grid_geom)),
-    "mc": (McEstimate, lambda ns: [monte_carlo_corr(ns.k, ns.N, ns.n, ns.trials, ns.seed)]),
-    "ppoly": (PolyRecord, _ppoly),
-    "verify": (CheckResult, lambda ns: run_suite(ns.suite, ns.max_k)),
+# A flag is name -> (converter, default, help).  A flag whose default is
+# _REQUIRED must be given, and exactly one of a verb's _ONE_OF flags must be.
+_REQUIRED, _ONE_OF = object(), object()
+_K, _N = (int, _REQUIRED, "correlation order"), (int, _REQUIRED, "population size")
+_COMMON = {
+    "format": (_choice("json", "csv"), "json", "output format, json or csv"),
+    "precision": (int, 12, "decimal digits for decimal columns"),
+    "out": (str, None, "also write the identical bytes to this file"),
 }
+
+# verb -> (help line, record kind, flags besides _COMMON, rows for the parsed flags).
+# The computations look up module-level names at call time, so patching one takes effect.
+_VERBS = {
+    "corr": ("exact correlation record for one design", CorrRecord,
+             {"k": _K, "N": _N, "n": (int, _REQUIRED, "sample size, 0 < n < N so the limit column is defined")},
+             lambda ns: [evaluate_correlation(ns.k, ns.N, ns.n)]),
+    "limit": ("scaled large-N limit at order k, fraction f", LimitSpec,
+              {"k": _K, "f": (parse_rational, _REQUIRED, "sampling fraction as p/q in (0,1)")},
+              lambda ns: [limit_spec(ns.k, ns.f)]),
+    "scan": ("convergence scan over population sizes", CorrRecord,
+             {"k": _K, "f": (parse_rational, _REQUIRED, "target sampling fraction p/q"),
+              "grid": (_grid_csv, _ONE_OF, "population sizes N1,N2,..., ascending (or --grid-geom)"),
+              "grid-geom": (_grid_geom, _ONE_OF, "START:FACTOR:COUNT, COUNT sizes from START by FACTOR (or --grid)")},
+             lambda ns: convergence_scan(ns.k, ns.f, ns.grid if ns.grid is not None else ns.grid_geom)),
+    "mc": ("reproducible Monte Carlo estimate", McEstimate,
+           {"k": _K, "N": _N, "n": (int, _REQUIRED, "sample size"), "trials": (int, 100_000, "number of trials"),
+            "seed": (int, DEFAULT_MC_SEED, "PRNG seed")},
+           lambda ns: [monte_carlo_corr(ns.k, ns.N, ns.n, ns.trials, ns.seed)]),
+    "ppoly": ("recursion polynomial coefficients", PolyRecord,
+              {"k": _K, "m": (int, _REQUIRED, "recursion level, m >= 0 (degree 2m)")}, _ppoly),
+    "verify": ("run identity/invariant suites", CheckResult,
+               {"suite": (_choice(*SUITE_NAMES, "all"), "all", f"{', '.join(SUITE_NAMES)} or all"),
+                "max-k": (int, None, "cap each check's range; a check capped below its lower bound fails")},
+               lambda ns: run_suite(ns.suite, ns.max_k)),
+}
+
+_FLAG_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$).").match  # not a value: '-' and more, not a negative number
+
+
+def _flag(token: str, flags) -> str | None:
+    """The flag (or ``help``) that ``token`` names: ``-h``, or ``--NAME`` or a unique prefix of it; else None."""
+    if token == "-h":
+        return "help"
+    prefix = token[2:] if token.startswith("--") else ""
+    names = [name for name in (*flags, "help") if prefix and name.startswith(prefix)]
+    if len(names) > 1 and prefix not in names:
+        raise ValueError(f"ambiguous flag {token!r}")
+    return prefix if prefix in names else next(iter(names), None)
+
+
+def _help(verb: str | None) -> None:
+    if verb is None:
+        verbs = "".join(f"  {name:<8}{spec[0]}\n" for name, spec in _VERBS.items())
+        print(f"{__doc__ or ''}\nverbs:\n{verbs}", end="")
+        return
+    text, _, flags, _ = _VERBS[verb]
+    print(f"usage: srscorr {verb} [--FLAG VALUE ...]\n\n{text}\n\nflags:")
+    for name, (_, default, line) in {**flags, **_COMMON}.items():
+        note = {_REQUIRED: " (required)", _ONE_OF: "", None: ""}.get(default, f" (default {default})")
+        print(f"  {'--' + name:<13}{line}{note}")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The verb and its flags' values as attributes, or None once help is printed."""
+    verb, *rest = argv or [""]
+    if verb not in _VERBS:
+        if verb.startswith("-") and _flag(verb, ()) == "help":
+            return _help(None)
+        raise ValueError(f"expected a verb ({', '.join(_VERBS)}), got {verb!r}")
+    flags, stray, tokens = {**_VERBS[verb][2], **_COMMON}, None, iter(rest)
+    values = {flag: spec[1] for flag, spec in flags.items()}
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        flag = _flag(name, flags)
+        if flag is None:  # reported after the loop, so that a later --help still prints help
+            stray = stray or token
+        elif flag == "help":
+            return _help(verb)
+        elif not eq and ((value := next(tokens, None)) is None or _FLAG_LIKE(value)):
+            raise ValueError(f"--{flag} expects a value")
+        else:
+            try:
+                values[flag] = flags[flag][0](value)
+            except ValueError as exc:
+                raise ValueError(f"--{flag} {value!r}: {exc}") from None
+    if stray is not None:
+        raise ValueError(f"unrecognized argument {stray!r}")
+    missing = [f"--{flag}" for flag, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ValueError(f"missing {' '.join(missing)}")
+    one_of = [flag for flag, spec in flags.items() if spec[1] is _ONE_OF]
+    if one_of and sum(values[flag] is not _ONE_OF for flag in one_of) != 1:
+        raise ValueError(f"give exactly one of --{' --'.join(one_of)}")
+    return SimpleNamespace(verb=verb, **{f.replace("-", "_"): None if v is _ONE_OF else v for f, v in values.items()})
 
 
 def run(argv) -> int:
     """Entry point with explicit argv (no implicit globals); returns the
     process exit code instead of raising SystemExit."""
     try:
-        ns = _shared_parser().parse_args(argv)
-    except _UsageError as exc:
+        ns = _parse(list(argv))
+    except ValueError as exc:  # argv does not parse
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # argparse --help prints and exits 0
-        return 0 if exc.code in (0, None) else 1
-    kind, compute = _VERBS[ns.verb]
+    if ns is None:
+        return 0
+    _, kind, _, compute = _VERBS[ns.verb]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -26,6 +26,7 @@ from .verify import CheckResult
 
 __all__ = [
     "decimal_str",
+    "PRECISION_BUDGET",
     "row_to_obj",
     "emit_report",
     "parse_row",
@@ -37,11 +38,17 @@ __all__ = [
 ]
 
 
+# The most fractional digits a decimal column may have.  Rendering time grows
+# with the square of the digits: on a 2-core host one column of 10^5 digits
+# takes about 0.2 s, and one of 4 * 10^5 digits 3.4 s.
+PRECISION_BUDGET = 10**5
+
+
 def decimal_str(value: Fraction | int, digits: int) -> str:
     """Fixed-point decimal string of an exact rational, rounded half-to-even
     at ``digits`` fractional digits, computed in integer arithmetic."""
-    if digits < 1:
-        raise DomainError(f"decimal rendering requires digits >= 1, got {digits}")
+    if not 1 <= digits <= PRECISION_BUDGET:
+        raise DomainError(f"decimal rendering requires 1 <= digits <= {PRECISION_BUDGET}, got {digits}")
     value = Fraction(value)
     negative = value < 0
     num, den = abs(value.numerator), value.denominator
@@ -151,8 +158,8 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
     """
     if format not in ("json", "csv"):
         raise DomainError(f"unknown report format: {format!r}")
-    if precision < 1:
-        raise DomainError(f"emit_report requires precision >= 1, got {precision}")
+    if not 1 <= precision <= PRECISION_BUDGET:
+        raise DomainError(f"emit_report requires precision >= 1 and <= {PRECISION_BUDGET}, got {precision}")
     objs = [row_to_obj(row, precision) for row in rows]
     keys = list(objs[0].keys()) if objs else list(columns or ())
     for obj in objs:

@@ -6,8 +6,10 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -18,9 +20,10 @@ from hypothesis import strategies as st
 
 from srscorr import cli
 from srscorr.correlation import LimitSpec, evaluate_correlation, limit_spec
+from srscorr.errors import DomainError
 from srscorr.oracle import DEFAULT_MC_SEED, monte_carlo_corr
 from srscorr.ppoly import PolyRecord, p_poly
-from srscorr.report import parse_corr_row, parse_mc_row, parse_row
+from srscorr.report import PRECISION_BUDGET, decimal_str, emit_report, parse_corr_row, parse_mc_row, parse_row
 from srscorr.verify import SUITE_NAMES, CheckResult
 
 
@@ -258,9 +261,33 @@ def test_scan_past_the_int_to_str_digit_limit_exits_2_with_one_line(capsys):
 
 
 def test_help_exits_zero(capsys):
-    for argv in (["--help"], ["corr", "--help"], ["verify", "--help"]):
-        assert cli.run(argv) == 0
-        capsys.readouterr()
+    helps = {}
+    for argv in (["--help"], ["-h"], ["corr", "--help"], ["corr", "--k", "2", "--help"], ["verify", "-h"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+        helps[" ".join(argv)] = out  # help goes to stdout
+    assert all(verb in helps["--help"] for verb in ("corr", "limit", "scan", "mc", "ppoly", "verify"))
+    assert helps["-h"] == helps["--help"]
+    for flag in ("--k", "--N", "--n", "--format", "--precision", "--out"):
+        assert re.search(rf"{flag}\b", helps["corr --help"]), flag
+    assert helps["corr --k 2 --help"] == helps["corr --help"]
+
+
+def test_precision_past_the_budget_is_refused_up_front(capsys):
+    # rendering time grows with the square of the digits, so 10^8 would run for days
+    start = time.perf_counter()
+    for call in (
+        lambda: decimal_str(Fraction(1, 3), 10**8),
+        lambda: emit_report([evaluate_correlation(3, 10, 5)], "json", 10**8),
+    ):
+        with pytest.raises(DomainError, match=f"<= {PRECISION_BUDGET}"):
+            call()
+    code, out, err = run_cli(capsys, "corr", "--k", "3", "--N", "10", "--n", "5", "--precision", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert PRECISION_BUDGET == 10**5
+    assert len(decimal_str(Fraction(1, 3), PRECISION_BUDGET)) == PRECISION_BUDGET + 2  # the budget itself renders
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +317,32 @@ def test_usage_errors_exit_1(capsys):
         ["scan", "--k", "2", "--f", "1/2"],  # no grid at all
         ["scan", "--k", "2", "--f", "1/2", "--grid-geom", "10:1:3"],  # factor not > 1
         ["verify", "--suite", "nonsense"],
+        ["corr", "--k"],  # no value
+        ["corr", "--k", "--N", "10", "--n", "5"],  # a flag where a value belongs
+        ["corr", "--k", "2", "--N", "10", "--n", "5", "stray"],
+        ["scan", "--k", "2", "--f", "1/2", "--grid", "10", "--grid-geom", "10:2:3"],  # both grids
+        ["scan", "--k", "2", "--f", "1/2", "--gri", "10"],  # ambiguous prefix of --grid and --grid-geom
     ]
     for argv in bad_argvs:
-        code = cli.run(argv)
-        err = capsys.readouterr().err
-        assert code == 1, argv
-        assert err != "", argv
-    # run() reuses one parser; after the usage errors it still prints what a
-    # fresh process prints (the pinned bytes below)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("usage error:") and err.count("\n") == 1, argv
+    # after the usage errors, run() still prints what a fresh process prints
+    # (the pinned bytes below)
     scan = ["scan", "--k", "4", "--f", "2/5", "--grid", "100,200", "--format", "csv"]
     assert run_cli(capsys, "corr", "--k", "2", "--N", "10", "--n", "5") == (0, _CORR_2_10_5, "")
     assert run_cli(capsys, *scan) == (0, _SCAN_4_CSV, "")
+
+
+def test_flag_spellings_give_the_same_record(capsys):
+    """``--flag=value``, a repeated flag (the last value wins) and a unique
+    prefix (``--prec``) read as the plain spelling does."""
+    for argv in (
+        ["corr", "--k=2", "--N", "10", "--n=5"],
+        ["corr", "--k", "9", "--k", "2", "--N", "10", "--n", "5"],
+        ["corr", "--k", "2", "--N", "10", "--n", "5", "--prec", "12"],
+    ):
+        assert run_cli(capsys, *argv) == (0, _CORR_2_10_5, ""), argv
 
 
 def test_computation_errors_exit_2(capsys):
@@ -315,6 +357,7 @@ def test_computation_errors_exit_2(capsys):
         ["mc", "--k", "3", "--N", "100", "--n", "50", "--trials", "100000000000"],  # past the Monte Carlo budget
         ["verify", "--max-k", "-1"],  # negative cap
         ["corr", "--k", "2", "--N", "10", "--n", "5", "--precision", "0"],  # no decimal digits
+        ["corr", "--k", "3", "--N", "10", "--n", "5", "--precision", "100000000"],  # past the precision budget
     ]
     for argv in bad_argvs:
         code, out, err = run_cli(capsys, *argv)
@@ -331,7 +374,7 @@ _GRID_GEOM = st.tuples(_INTS, _RATIONALS, st.integers(-1, 5)).map(lambda parts: 
 _OUT = "<out>"  # replaced by a path under the test's temporary directory
 _EXTRA_FLAGS = {
     "--format": st.sampled_from(["json", "csv", "yaml"]),
-    "--precision": _INTS,
+    "--precision": st.one_of(_INTS, st.just("100000000")),
     "--out": st.just(_OUT),
     "--frob": _INTS,  # no verb has it
 }
@@ -363,10 +406,24 @@ def _argvs(draw):
     dropped = draw(st.sampled_from(sorted(usual))) if usual and draw(st.integers(0, 3)) == 0 else None
     added = draw(st.lists(st.sampled_from(sorted({**extra, **_EXTRA_FLAGS})), unique=True, max_size=2))
     flags = [*always, *(flag for flag in usual if flag != dropped), *added]
+    if draw(st.integers(0, 4)) == 0:
+        flags.append(draw(st.sampled_from(flags)))  # a repeated flag: its last value wins
     argv = [verb]
     for flag in draw(st.permutations(flags)):
-        argv += [flag, draw(pools[flag])]
+        value = draw(pools[flag])
+        # joined only when the two-token spelling reads the value as a value, not a flag
+        if not value.startswith("-") and draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
     return argv
+
+
+def _run_quietly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @settings(max_examples=200)
@@ -375,22 +432,24 @@ def _argvs(draw):
 def test_any_argv_exits_with_a_documented_code_and_one_line(tmp_path_factory, argv):
     """``cli.run`` returns 0-3 for any argv drawn from each verb's own flags,
     the shared flags and one unknown flag, and never raises; a usage error
-    (1) or a computation error (2) prints exactly one stderr line.  The value
-    pools stay inside cost budgets that the CLI does not enforce yet (on
-    precision, result size and ppoly's (k, m)): every int is at most 60, and
-    ``verify`` always gets a ``--max-k`` of at most 1, so no draw can run
-    long.  MC runs at most 2000 trials, or 10^11, which the Monte Carlo
-    budget refuses."""
+    (1) or a computation error (2) prints exactly one stderr line.  Each
+    ``--flag=value`` reads as ``--flag value`` does: the same exit code and
+    the same stdout.  The value pools stay inside cost budgets that the CLI
+    does not enforce yet (on result size and ppoly's (k, m)): every int is at
+    most 60, and ``verify`` always gets a ``--max-k`` of at most 1, so no
+    draw can run long.  MC runs at most 2000 trials, or 10^11, which the
+    Monte Carlo budget refuses; ``--precision`` is at most 60, or 10^8,
+    which the precision budget refuses."""
     out = tmp_path_factory.getbasetemp() / "fuzz-out"
-    argv = [str(out) if token == _OUT else token for token in argv]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.run(argv)
-    err = stderr.getvalue()
+    argv = [token.replace(_OUT, str(out)) for token in argv]
+    code, stdout, err = _run_quietly(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     if code in (1, 2):
         assert err.startswith("usage error:" if code == 1 else "error:"), (argv, err)
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    two_tokens = [part for token in argv for part in (token.split("=", 1) if token.startswith("--") else [token])]
+    if two_tokens != argv:
+        assert _run_quietly(two_tokens)[:2] == (code, stdout), (argv, two_tokens)
 
 
 def test_mc_population_beyond_64_bits_exits_2(capsys):
@@ -408,3 +467,15 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "-1/4"
+
+
+def test_import_loads_no_argparse():
+    """The CLI parses argv from its verb table, so importing it loads none of
+    argparse or the gettext and locale modules that argparse pulls in."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, srscorr.cli; print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
