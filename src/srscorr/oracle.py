@@ -238,12 +238,17 @@ def _intersection_histogram(k: int, N: int, n: int, trials: int, seed: int) -> l
         states *= np.uint64(_GOLDEN)
         states += np.uint64(seed & _MASK64)
         _mix64_vec(states)  # trial_stream_seed, in place
-        pos = np.repeat(np.arange(k, dtype=width)[:, np.newaxis], lanes, axis=1)
-        for i, block in _fisher_yates_blocks(states, N, n, width):
-            _track_swaps(pos, i, block, N)
-        counts = (pos < n).sum(axis=0, dtype=np.min_scalar_type(k))
-        hist += np.bincount(counts, minlength=k + 1)
+        hist += _tracked_histogram(k, N, n, lanes, _fisher_yates_blocks(states, N, n, width))
     return [int(c) for c in hist]
+
+
+def _tracked_histogram(k: int, N: int, n: int, lanes: int, blocks):
+    """Bincount over ``lanes`` lanes of the labels 0..k-1 below n after ``(i, block)`` steps."""
+    pos = np.repeat(np.arange(k, dtype=np.min_scalar_type(N - 1))[:, np.newaxis], lanes, axis=1)
+    for i, block in blocks:
+        _track_swaps(pos, i, block, N)
+    counts = (pos < n).sum(axis=0, dtype=np.min_scalar_type(k))
+    return np.bincount(counts, minlength=k + 1)
 
 
 def _track_swaps(pos, i: int, block, N: int) -> None:

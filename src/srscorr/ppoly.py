@@ -50,6 +50,7 @@ from .errors import DomainError
 from .exactnum import power_sum_coefficients
 
 __all__ = [
+    "PPOLY_BUDGET",
     "Poly",
     "PolyRecord",
     "weighted_prefix_poly",
@@ -58,6 +59,10 @@ __all__ = [
     "elementary_sum_oracle",
     "falling_factorial_via_p0",
 ]
+
+#: Hard ceiling on m * max(2m, k), the integer additions that build the value
+#: rows of P[k, m]: about 0.2-0.35 s of ``p_poly`` at the ceiling.
+PPOLY_BUDGET = 200_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,6 +192,8 @@ def p_poly(k: int, m: int) -> Poly:
     """
     if k < 0 or m < 0:
         raise DomainError(f"p_poly requires k, m >= 0, got ({k}, {m})")
+    if m * max(2 * m, k) > PPOLY_BUDGET:
+        raise DomainError(f"p_poly requires m * max(2m, k) <= {PPOLY_BUDGET}, got {m * max(2 * m, k)}")
     poly = _P_CACHE.get((k, m))
     if poly is not None:
         return poly

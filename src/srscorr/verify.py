@@ -5,13 +5,14 @@ The checks deliberately re-derive everything through an independent route —
 term-by-term summation against closed forms, brute-force enumeration against
 the moment formula, polynomial expansion against pointwise recursion — so a
 single implementation error cannot silently vouch for itself.  All checks
-are exact (rational equality) except three bands: the fixed-seed sampler
-frequency bands, and the ratio bands of ``per-coefficient-convergence`` (in
-[5, 20]) and ``scaled-sequence-boundedness`` (within a factor of 10).
+are exact except the ratio bands of ``per-coefficient-convergence`` (in
+[5, 20]) and ``scaled-sequence-boundedness`` (within a factor of 10); the
+samplers, too, are checked exactly, on every draw sequence of small designs.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,12 +41,16 @@ from .exactnum import (
     sum_of_powers,
 )
 from .oracle import (
+    _GOLDEN,
     DEFAULT_MC_SEED,
     SplitMix64,
+    _draw_below,
+    _tracked_histogram,
     brute_force_corr,
     hypergeom_inclusion_prob,
     monte_carlo_corr,
     sample_srs,
+    trial_stream_seed,
 )
 from .ppoly import (
     Poly,
@@ -107,11 +112,15 @@ class Check:
 
     def run(self, max_k: int | None = None) -> CheckResult:
         top = self.cap if max_k is None else min(self.cap, max_k)
-        r = _Recorder()
-        self.body(r, top)
+        params, r = self.params.format(top=top), _Recorder()
+        try:
+            self.body(r, top)
+        except Exception as exc:  # a body that raises fails its own row, and the other rows still run
+            detail = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+            return CheckResult(self.suite, self.identity, params, False, r.cases, detail)
         passed = r.cases > 0 and not r.failures
         detail = "; ".join(r.failures) if r.cases else "no cases were compared"
-        return CheckResult(self.suite, self.identity, self.params.format(top=top), passed, r.cases, detail)
+        return CheckResult(self.suite, self.identity, params, passed, r.cases, detail)
 
 
 #: Every check, in output order: grouped by suite, suites in ``SUITE_NAMES`` order.
@@ -495,14 +504,16 @@ def _(r, top):
 # ----------------------------------------------------------------------
 
 
-class _CountingRng(SplitMix64):
-    def __init__(self, seed: int):
-        super().__init__(seed)
-        self.bounded_draws = 0
+class _ScriptedDraws:
+    """Stands in for ``SplitMix64``: ``next_below`` returns the scripted draws
+    in order (0 once they run out) and records each bound it is asked for."""
+
+    def __init__(self, draws):
+        self.draws, self.bounds = iter(draws), []
 
     def next_below(self, bound: int) -> int:
-        self.bounded_draws += 1
-        return super().next_below(bound)
+        self.bounds.append(bound)
+        return next(self.draws, 0)
 
 
 @_check("oracle", "moment-expansion-vs-enumeration", "N <= 12, all n, k <= min({top}, N)", 8)
@@ -537,33 +548,47 @@ def _(r, top):
             )
 
 
-@_check("oracle", "sampler-uniformity", "(4,2),(5,2),(6,3); 1e5 draws within 5 sigma", 3)
+@_check(
+    "oracle", "sampler-enumeration",
+    "N <= {top}, all n, k <= N; one lane per call at (N,n,k) = (10,3,1),(11,3,1),(12,2,1),(20,2,2), k <= {top}", 7,
+)
 def _(r, top):
-    for N, n in ((4, 2), (5, 2), (6, 3)):
-        if n > top:  # capped by sample size, so every check passes from max_k = 2 up
-            break
-        draws = 100_000
-        rng = SplitMix64(DEFAULT_MC_SEED + N * 100 + n)
-        counts = {c: 0 for c in itertools.combinations(range(N), n)}
-        for _ in range(draws):
-            counts[sample_srs(N, n, rng)] += 1
-        p = 1 / math.comb(N, n)
-        sigma = math.sqrt(p * (1 - p) / draws)
-        for subset, c in counts.items():
-            freq = c / draws
-            r.expect(
-                abs(freq - p) <= 5 * sigma,
-                f"(N={N}, n={n}) subset {subset}: freq {freq:.5f} vs {p:.5f} (5 sigma = {5 * sigma:.5f})",
-            )
+    # Partial Fisher-Yates maps the N!/(N-n)! draw sequences one to one onto
+    # ordered n-tuples: fed each sequence once, a sampler gives each n-subset
+    # n! times, and n! C(k, x) C(N-k, n-x) samples meet {0..k-1} in x labels.
+    import numpy as np
+    designs = [(N, n, range(N + 1), False) for N in range(top + 1) for n in range(N + 1)]
+    designs += [(N, n, [k], True) for N, n, k in ((10, 3, 1), (11, 3, 1), (12, 2, 1), (20, 2, 2)) if k <= top]
+    for N, n, orders, one_lane_per_call in designs:  # one lane per call: 8 lanes k < N, so the event path
+        sequences, fact = list(itertools.product(*(range(N - i) for i in range(n)))), math.factorial(n)
+        rngs = [_ScriptedDraws(draws) for draws in sequences]
+        counts = collections.Counter(sample_srs(N, n, rng) for rng in rngs)
+        r.equal({tuple(rng.bounds) for rng in rngs}, {tuple(range(N, N - n, -1))}, f"N={N} n={n} bounds asked")
+        odd = next((s for s in itertools.combinations(range(N), n) if counts[s] != fact), None)
+        r.expect(odd is None, f"N={N} n={n}: subset {odd} drawn {counts[odd]} times, not {fact}")
+        width = np.min_scalar_type(N - 1)  # lane t's step-i partner is i + the i-th draw of sequence t
+        block = np.array(sequences, dtype=width).reshape(len(sequences), n).T + np.arange(n, dtype=width)[:, None]
+        lanes = [block[:, t : t + 1] for t in range(len(sequences))] if one_lane_per_call else [block]
+        for k in orders:
+            hist = sum(_tracked_histogram(k, N, n, lane.shape[1], [(0, lane)] if n else []) for lane in lanes)
+            law = [fact * binomial(k, x) * binomial(N - k, n - x) for x in range(k + 1)]
+            r.equal(hist.tolist(), law, f"N={N} n={n} k={k} tracker")
 
 
-@_check("oracle", "sampler-draw-budget", "N <= {top}, all n: exactly n bounded draws", 12)
+@_check("oracle", "lockstep-rejection", "64 lanes x 8 steps at bounds 2^63+1 and 3*2^62+1", 2)
 def _(r, top):
-    for N in range(top + 1):
-        for n in range(N + 1):
-            rng = _CountingRng(99)
-            sample_srs(N, n, rng)
-            r.equal(rng.bounded_draws, n, f"N={N} n={n}")
+    # about half and a quarter of all raw outputs are rejected at these bounds
+    if top < 2:
+        return
+    import numpy as np
+    seeds = [trial_stream_seed(5, t) for t in range(64)]
+    z, tmp = np.empty((2, len(seeds)), dtype=np.uint64)
+    for bound in (2**63 + 1, 3 * 2**62 + 1):
+        rngs, states = [SplitMix64(seed) for seed in seeds], np.array(seeds, dtype=np.uint64)
+        lockstep = [_draw_below(states, bound, z, tmp).tolist() for _ in range(8)]
+        r.equal(lockstep, [[rng.next_below(bound) for rng in rngs] for _ in range(8)], f"bound={bound} draws")
+        r.equal(states.tolist(), [rng.state for rng in rngs], f"bound={bound} final states")
+        r.expect(states.tolist() != [(s + 8 * _GOLDEN) % 2**64 for s in seeds], f"bound={bound}: no lane redrew")
 
 
 @_check("oracle", "mc-bit-reproducibility", "(k,N,n)=(2,10,5), 20000 trials, fixed seed", 2)

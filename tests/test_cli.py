@@ -290,6 +290,15 @@ def test_precision_past_the_budget_is_refused_up_front(capsys):
     assert len(decimal_str(Fraction(1, 3), PRECISION_BUDGET)) == PRECISION_BUDGET + 2  # the budget itself renders
 
 
+def test_ppoly_past_the_budget_is_refused_up_front(capsys):
+    # the value rows alone would take m * max(2m, k) = 8 * 10^6 additions
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ppoly", "--k", "2", "--m", "2000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -389,7 +398,7 @@ _VERB_FLAGS = {
         {"--k": _INTS, "--N": _INTS, "--n": _INTS},
         {"--seed": _INTS},
     ),
-    "ppoly": ({}, {"--k": _INTS, "--m": _INTS}, {}),
+    "ppoly": ({}, {"--k": _INTS, "--m": st.one_of(_INTS, st.just("2000"))}, {}),
     "verify": (
         {"--max-k": st.sampled_from(["-1", "0", "1"])},
         {},
@@ -434,12 +443,13 @@ def test_any_argv_exits_with_a_documented_code_and_one_line(tmp_path_factory, ar
     the shared flags and one unknown flag, and never raises; a usage error
     (1) or a computation error (2) prints exactly one stderr line.  Each
     ``--flag=value`` reads as ``--flag value`` does: the same exit code and
-    the same stdout.  The value pools stay inside cost budgets that the CLI
-    does not enforce yet (on result size and ppoly's (k, m)): every int is at
-    most 60, and ``verify`` always gets a ``--max-k`` of at most 1, so no
-    draw can run long.  MC runs at most 2000 trials, or 10^11, which the
-    Monte Carlo budget refuses; ``--precision`` is at most 60, or 10^8,
-    which the precision budget refuses."""
+    the same stdout.  The value pools stay inside the cost budget that the
+    CLI does not enforce yet (on result size): every int is at most 60, and
+    ``verify`` always gets a ``--max-k`` of at most 1, so no draw can run
+    long.  MC runs at most 2000 trials, or 10^11, which the Monte Carlo
+    budget refuses; ``--precision`` is at most 60, or 10^8, which the
+    precision budget refuses; ppoly's ``--m`` is at most 60, or 2000, which
+    the ppoly budget refuses."""
     out = tmp_path_factory.getbasetemp() / "fuzz-out"
     argv = [token.replace(_OUT, str(out)) for token in argv]
     code, stdout, err = _run_quietly(argv)

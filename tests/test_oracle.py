@@ -81,18 +81,6 @@ def test_trial_stream_seeds_are_spread_out():
 # sampler
 
 
-def test_sample_srs_shape():
-    rng = SplitMix64(11)
-    for _ in range(200):
-        s = sample_srs(9, 4, rng)
-        assert isinstance(s, tuple)
-        assert len(s) == 4
-        assert list(s) == sorted(set(s))
-        assert all(0 <= a < 9 for a in s)
-    assert sample_srs(5, 0, rng) == ()
-    assert sample_srs(5, 5, rng) == (0, 1, 2, 3, 4)
-
-
 def _dense_fisher_yates(N, n, rng):
     perm = list(range(N))
     for i in range(n):
@@ -246,28 +234,6 @@ def test_monte_carlo_cost_is_bounded_up_front():
         for k, N, n, trials in [(2, 10, 5, 21), (2, 10, 0, 101)]:
             with pytest.raises(DomainError, match="lane-steps, got"):
                 monte_carlo_corr(k, N, n, trials=trials)
-
-
-def test_lockstep_draw_redraws_like_next_below():
-    # At bound 2^63 + 1 the acceptance threshold is 2^63 + 1 itself, so about
-    # half of all raw outputs fall in the rejection zone and get redrawn.
-    class Counting(SplitMix64):
-        raw = 0
-
-        def next_uint64(self):
-            type(self).raw += 1
-            return super().next_uint64()
-
-    bound, lanes, steps = 2**63 + 1, 64, 8
-    seeds = [trial_stream_seed(5, t) for t in range(lanes)]
-    rngs = [Counting(s) for s in seeds]
-    states = np.array(seeds, dtype=np.uint64)
-    z, tmp = np.empty((2, lanes), dtype=np.uint64)
-    for _ in range(steps):
-        draws = oracle._draw_below(states, bound, z, tmp)
-        assert draws.tolist() == [rng.next_below(bound) for rng in rngs]
-    assert states.tolist() == [rng.state for rng in rngs]
-    assert Counting.raw > lanes * steps
 
 
 @st.composite

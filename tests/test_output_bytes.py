@@ -39,7 +39,7 @@ _PINNED_OUTPUTS = [
     ("ppoly --k 8 --m 3 --format csv", "183448dd9d1cb9290e0803824647c9bfee5f1733f10fd5a139614fd6eb33ee13"),
     ("verify --suite exactnum --max-k 3 --format csv", "b196241f242954cacca20c106ec3454ce90b4fffeba699a083f0003f82df916c"),
     # every check capped, at the smallest cap where each one still compares something
-    ("verify --max-k 2", "ae82ce9a0ca04e19ea884218174b68c9b7738ba8cbeb52c6f47393285d3f03d2"),
+    ("verify --max-k 2", "159e1220ae9ef13c9bb815624e0e02302ceef881634447cb38f78fd8a3513070"),
     # benchmark scale: orders up to 128 at N near 10^7, as in perfbench's exact-scan
     ("corr --k 118 --N 9876543 --n 3950617 --format json --precision 80", "40a42ce7267569b7fe1b1ff199a37a5f0163661262341772a3bf7b0b10c41ffe"),
     ("scan --k 128 --f 37/97 --grid-geom 1234567:3/2:6 --format json --precision 12", "3b2c3da90fc9d1df2b62e73ff56b4712fefdc89325284527fa1f72429e4b7f28"),
@@ -76,8 +76,8 @@ def test_scan_with_no_interior_design_writes_no_bytes(tmp_path, capsys):
 
 # sha256 of ``python -m srscorr verify`` stdout: every registry check at its full range.
 _VERIFY_DIGESTS = {
-    "json": "9e002e5af314335c18c49f535abd4594fb78cb7c21a864861155d66b727a487f",
-    "csv": "41fa99e1b7fc67936ff5b5df488d968520be98a1e54f522622c61a312f1664ba",
+    "json": "e30e39beb891ae52c81c7b66f7dc953fef96871dd3565fb4d620e4174cc074ad",
+    "csv": "9dfad6769f403e2dd4927564925b9b33117a843766ce9a6c6c5b66ef330ee0f4",
 }
 
 

@@ -1,11 +1,13 @@
 """The identity registry: every check passes at its full range and compares
 something, and a check that compares nothing fails."""
 
+import dataclasses
 import json
 
 import pytest
 
-from srscorr import cli
+from srscorr import cli, verify
+from srscorr.errors import DomainError
 from srscorr.verify import CHECKS, SUITE_NAMES
 
 
@@ -47,13 +49,28 @@ def test_a_check_that_compares_nothing_fails(capsys):
         "per-coefficient-convergence",
         "scaled-sequence-boundedness",
         "unit-set-exchangeability",
-        "sampler-uniformity",
+        "lockstep-rejection",
         "mc-bit-reproducibility",
     ]
     for row in empty:
         assert row["passed"] is False
         assert row["detail"] and "\n" not in row["detail"]
     assert all(row["passed"] for row in rows if row["cases"] > 0)
+
+
+def test_a_check_that_raises_fails_its_own_row(capsys, monkeypatch):
+    def body(r, top):
+        r.equal(1, 1, "before the raise")
+        raise DomainError("first line\nsecond line")
+
+    raising = [dataclasses.replace(c, body=body) if c.identity == "bernoulli-recurrence" else c for c in CHECKS]
+    monkeypatch.setattr(verify, "CHECKS", raising)
+    code, rows = _verify_rows(capsys, "--max-k", "2")
+    assert code == 3 and [row["identity"] for row in rows] == [check.identity for check in CHECKS]
+    failed = [row for row in rows if not row["passed"]]
+    assert [(row["identity"], row["cases"], row["detail"]) for row in failed] == [
+        ("bernoulli-recurrence", 1, "DomainError: first line second line")
+    ]
 
 
 def test_max_k_caps_every_check(capsys, check_result):
