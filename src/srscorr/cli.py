@@ -6,8 +6,9 @@ last value, and ``-h`` or ``--help`` after the verb, or alone, prints help.
 Exit codes: 0 success or help; 1 usage error (an unknown verb or flag, an
 ambiguous prefix, a flag with no value or followed by another flag, a stray
 token, a malformed integer or rational literal or a value outside a flag's
-choices, a missing required flag, or ``scan`` with both or neither of
-``--grid`` and ``--grid-geom``); 2 computation error (a domain or budget
+choices, a missing required flag, ``scan`` with both or neither of
+``--grid`` and ``--grid-geom``, or a ``--grid-geom`` factor not above 1 or
+COUNT outside 1..1000); 2 computation error (a domain or budget
 violation, e.g. n > N, f outside (0,1), the enumeration budget exceeded), a
 stdout whose reader has closed it, or an ``--out`` file that cannot be
 written (stdout has the output by then); 3 verification failure (``verify``
@@ -23,8 +24,6 @@ import os
 import re
 import sys
 import warnings
-from fractions import Fraction
-from math import floor
 from types import SimpleNamespace
 
 from .correlation import CorrRecord, LimitSpec, convergence_scan, evaluate_correlation, limit_spec
@@ -42,7 +41,14 @@ def _grid_csv(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+# The most sizes a --grid-geom may ask for.  On a 2-core host `scan --k 2
+# --grid-geom 2:2:1000` takes about 0.35 s, and 10^4 sizes took 11 s and 77 MB
+# of output: the time grows faster than the count.
+_GEOM_COUNT_MAX = 1000
+
+
 def _grid_geom(text: str) -> list[int]:
+    """The sizes floor(start (p/q)^i + 1/2), i < count, in integers, with rounding collisions dropped."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("expected start:factor:count")
@@ -53,13 +59,16 @@ def _grid_geom(text: str) -> list[int]:
         raise ValueError("geometric factor must be > 1")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > _GEOM_COUNT_MAX:
+        raise ValueError(f"count must be <= {_GEOM_COUNT_MAX}")
+    p, q = factor.numerator, factor.denominator
     grid: list[int] = []
-    value = Fraction(start)
+    top, bottom = start, 1  # start (p/q)^i = top / bottom
     for _ in range(count):
-        entry = floor(value + Fraction(1, 2))
+        entry = (2 * top + bottom) // (2 * bottom)
         if not grid or entry != grid[-1]:  # drop rounding collisions
             grid.append(entry)
-        value *= factor
+        top, bottom = top * p, bottom * q
     return grid
 
 

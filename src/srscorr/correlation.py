@@ -52,7 +52,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import floor, perm
+from math import perm
 from operator import add, mul, sub
 
 from .errors import DomainError, check_design
@@ -91,14 +91,16 @@ def corr_exact(k: int, N: int, n: int) -> Fraction:
     Each head follows from the previous one, head_j = head_(j-1)
     (k-j+1) (n-j+1) N / j, where the division is exact because
     j C(k, j) = (k-j+1) C(k, j-1); the tails, tail_(j-1) = tail_j (N-j+1)(-n),
-    are applied by Horner's rule.  Only integers are multiplied, and the
-    ``Fraction`` reduces the quotient once.
+    are applied by Horner's rule.  Each step multiplies the small factors
+    together first, so the big integers see one product each: four big-int
+    operations per step.  Only integers are multiplied, and the ``Fraction``
+    reduces the quotient once.
     """
     check_design("corr_exact", k, N, n)
     num = head = 1
     for j in range(1, k + 1):
-        head = head * (k - j + 1) // j * (n - j + 1) * N
-        num = num * (N - j + 1) * -n + head
+        head = head * ((k - j + 1) * (n - j + 1) * N) // j
+        num = num * ((j - 1 - N) * n) + head
     return Fraction(num, N**k * perm(N, k))
 
 
@@ -303,19 +305,23 @@ class CorrRecord:
         return abs(self.scaled - self.limit)
 
 
+def _record(k: int, N: int, n: int, exponent: int, limit: Fraction) -> CorrRecord:
+    """The record of one design, given its order's exponent e(k) and the
+    limit it is compared with; ``corr_exact`` checks the design."""
+    corr = corr_exact(k, N, n)
+    return CorrRecord(k=k, N=N, n=n, f=Fraction(n, N), corr=corr, scaled=N**exponent * corr, limit=limit)
+
+
 def evaluate_correlation(k: int, N: int, n: int, limit_f: Fraction | None = None) -> CorrRecord:
     """Evaluate one design into a :class:`CorrRecord`.
 
-    ``limit_f`` selects the fraction at which the limit is evaluated;
-    convergence scans pass their target fraction here (the realized n/N is
-    still reported in the record), while single-design evaluation defaults
-    to the realized fraction.
+    ``limit_f`` selects the fraction at which the limit is evaluated; it
+    defaults to the realized fraction n/N, which the record reports either
+    way.
     """
-    corr = corr_exact(k, N, n)
-    scaled = Fraction(N) ** parity_exponent(k) * corr
-    f_realized = Fraction(n, N)
-    limit = theorem_limit(k, f_realized if limit_f is None else limit_f)
-    return CorrRecord(k=k, N=N, n=n, f=f_realized, corr=corr, scaled=scaled, limit=limit)
+    check_design("corr_exact", k, N, n)  # before n/N is formed, with the message corr_exact gives
+    limit = theorem_limit(k, Fraction(n, N) if limit_f is None else limit_f)
+    return _record(k, N, n, parity_exponent(k), limit)
 
 
 def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
@@ -324,10 +330,12 @@ def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
 
     For each N the sample size is the half-up rounding n = floor(f N + 1/2);
     the limit column is evaluated at the target f (not at the realized n/N),
-    so the error column isolates pure finite-N convergence.  Grid entries
-    whose rounded n lands on 0 or N have no interior design; they are
-    skipped with a warning and the scan continues.  A scan that skips every
-    grid entry has no record and raises ``DomainError``.
+    so the error column isolates pure finite-N convergence.  That limit and
+    the exponent e(k) are computed once per scan, and each grid entry costs
+    one ``corr_exact``.  Grid entries whose rounded n lands on 0 or N have no
+    interior design; they are skipped with a warning and the scan continues.
+    A scan that skips every grid entry has no record and raises
+    ``DomainError``.
     """
     if k < 2:
         raise DomainError(f"convergence_scan requires k >= 2, got k={k}")
@@ -341,16 +349,18 @@ def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
         raise DomainError(f"convergence_scan requires every N >= 2, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError(f"convergence_scan requires a strictly ascending grid, got {grid}")
+    exponent, limit = parity_exponent(k), theorem_limit(k, f)
+    p, q = f.numerator, f.denominator
     records: list[CorrRecord] = []
     for N in grid:
-        n = floor(f * N + Fraction(1, 2))
+        n = (2 * p * N + q) // (2 * q)  # floor(f N + 1/2)
         if n <= 0 or n >= N:
             warnings.warn(
                 f"convergence_scan: N={N} rounds to boundary sample size n={n}; entry skipped",
                 stacklevel=2,
             )
             continue
-        records.append(evaluate_correlation(k, N, n, limit_f=f))
+        records.append(_record(k, N, n, exponent, limit))
     if not records:
         raise DomainError(
             f"convergence_scan: all {len(grid)} grid entries round to a boundary sample size at f={f}; no record"

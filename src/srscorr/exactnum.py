@@ -60,8 +60,9 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(value: Fraction | int) -> str:
     """Canonical string form of an exact rational: ``p/q`` in lowest terms
-    with positive denominator, or plain ``p`` when the denominator is 1."""
-    q = Fraction(value)
+    with positive denominator, or plain ``p`` when the denominator is 1.
+    A ``Fraction`` or an int is read as it is; anything else is converted."""
+    q = value if isinstance(value, (Fraction, int)) else Fraction(value)
     num = int_str(q.numerator)
     return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
 

@@ -49,7 +49,8 @@ def decimal_str(value: Fraction | int, digits: int) -> str:
     at ``digits`` fractional digits, computed in integer arithmetic."""
     if not 1 <= digits <= PRECISION_BUDGET:
         raise DomainError(f"decimal rendering requires 1 <= digits <= {PRECISION_BUDGET}, got {digits}")
-    value = Fraction(value)
+    if not isinstance(value, (Fraction, int)):
+        value = Fraction(value)
     negative = value < 0
     num, den = abs(value.numerator), value.denominator
     scaled = num * 10**digits

@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import example, given, settings
@@ -260,6 +261,41 @@ def test_scan_past_the_int_to_str_digit_limit_exits_2_with_one_line(capsys):
         assert err.startswith("error: column 'N'") and err.count("\n") == 1
 
 
+def _fraction_grid(start, factor, count):
+    """The geometric grid as the CLI defined it first, in ``Fraction``s."""
+    grid, value = [], Fraction(start)
+    for _ in range(count):
+        entry = floor(value + Fraction(1, 2))
+        if not grid or entry != grid[-1]:
+            grid.append(entry)
+        value *= factor
+    return grid
+
+
+@given(
+    st.integers(-(10**7), 10**7),
+    st.integers(1, 10**4).flatmap(lambda q: st.tuples(st.integers(q + 1, 100 * q), st.just(q))),
+    st.integers(1, 12),
+)
+@example(-7, (3, 2), 5)  # a negative start rounds half up too: -7 * 3/2 = -10.5 -> -10
+@example(5, (11, 10), 12)  # 5.5 rounds up to 6, and 6.05 then collides with it
+def test_grid_geom_matches_the_fraction_loop(start, factor, count):
+    p, q = factor
+    assert cli._grid_geom(f"{start}:{p}/{q}:{count}") == _fraction_grid(start, Fraction(p, q), count)
+
+
+def test_grid_geom_count_past_the_cap_is_refused_up_front(capsys):
+    # at k = 2 a scan over 10^4 sizes took 11 s and printed 77 MB; 10^9 would never end
+    assert len(cli._grid_geom(f"2:2:{cli._GEOM_COUNT_MAX}")) == cli._GEOM_COUNT_MAX
+    start = time.perf_counter()
+    for count in (cli._GEOM_COUNT_MAX + 1, 10**9):
+        code, out, err = run_cli(capsys, "scan", "--k", "2", "--f", "1/2", "--grid-geom", f"2:2:{count}")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: --grid-geom") and "count must be <= 1000" in err
+        assert err.count("\n") == 1
+    assert time.perf_counter() - start < 0.5
+
+
 def test_help_exits_zero(capsys):
     helps = {}
     for argv in (["--help"], ["-h"], ["corr", "--help"], ["corr", "--k", "2", "--help"], ["verify", "-h"]):
@@ -379,7 +415,9 @@ _INTS = st.integers(-1, 60).map(str)
 _RATIONALS = st.sampled_from(["0", "1", "1/100", "1/3", "2/5", "7/5", "0.5", "1/0", "p/q"])
 _SIZES = st.lists(st.integers(-1, 60), max_size=5)
 _GRID = st.one_of(_SIZES, _SIZES.map(sorted)).map(lambda sizes: ",".join(map(str, sizes)))
-_GRID_GEOM = st.tuples(_INTS, _RATIONALS, st.integers(-1, 5)).map(lambda parts: ":".join(map(str, parts)))
+_GRID_GEOM = st.tuples(_INTS, _RATIONALS, st.one_of(st.integers(-1, 5), st.just(10**9))).map(
+    lambda parts: ":".join(map(str, parts))
+)
 _OUT = "<out>"  # replaced by a path under the test's temporary directory
 _EXTRA_FLAGS = {
     "--format": st.sampled_from(["json", "csv", "yaml"]),
@@ -446,7 +484,8 @@ def test_any_argv_exits_with_a_documented_code_and_one_line(tmp_path_factory, ar
     the same stdout.  The value pools stay inside the cost budget that the
     CLI does not enforce yet (on result size): every int is at most 60, and
     ``verify`` always gets a ``--max-k`` of at most 1, so no draw can run
-    long.  MC runs at most 2000 trials, or 10^11, which the Monte Carlo
+    long.  A ``--grid-geom`` COUNT is at most 5, or 10^9, which the COUNT
+    cap refuses.  MC runs at most 2000 trials, or 10^11, which the Monte Carlo
     budget refuses; ``--precision`` is at most 60, or 10^8, which the
     precision budget refuses; ppoly's ``--m`` is at most 60, or 2000, which
     the ppoly budget refuses."""

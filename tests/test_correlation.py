@@ -4,6 +4,7 @@ the alpha-coefficient table, and the convergence scan."""
 import hashlib
 import warnings
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import example, given
@@ -87,6 +88,7 @@ def _designs(draw):
 @example((9, 30, 4))  # k > n
 @example((40, 10**7, 10**7 - 1))  # largest order at the largest population
 @example((60, 1_000_003, 400_001))  # the benchmark's largest alpha order
+@example((128, 9_999_991, 4_000_003))  # the benchmark's largest scan order
 def test_corr_exact_matches_moment_expansion_symmetry_and_alpha_table(design):
     k, N, n = design
     value = corr_exact(k, N, n)
@@ -258,6 +260,34 @@ def test_convergence_scan_errors_decrease_along_doubling_grid():
         rows = convergence_scan(k, Fraction(2, 5), [500, 1000, 2000])
         errs = [r.abs_error for r in rows]
         assert errs[0] > errs[1] > errs[2] > 0
+
+
+@st.composite
+def _scans(draw):
+    k = draw(st.integers(2, 40))
+    q = draw(st.integers(2, 97))
+    f = Fraction(draw(st.integers(1, q - 1)), q)
+    grid = sorted(draw(st.sets(st.integers(k, 10**7), min_size=1, max_size=6)))
+    return k, f, grid
+
+
+@given(_scans())
+@example((2, Fraction(1, 97), [2, 48, 49]))  # two boundary entries, then the first interior one
+def test_convergence_scan_matches_evaluate_correlation(scan):
+    """The scan, which computes its limit once, gives at each interior grid
+    entry the record that ``evaluate_correlation`` gives at the half-up
+    rounded sample size, and warns once for each skipped entry."""
+    k, f, grid = scan
+    designs = [(N, floor(f * N + Fraction(1, 2))) for N in grid]
+    expected = [evaluate_correlation(k, N, n, limit_f=f) for N, n in designs if 0 < n < N]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if not expected:
+            with pytest.raises(DomainError):
+                convergence_scan(k, f, grid)
+            return
+        assert convergence_scan(k, f, grid) == expected
+    assert len(caught) == len(grid) - len(expected)
 
 
 def test_convergence_scan_skips_degenerate_sample_sizes():
