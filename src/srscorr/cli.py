@@ -9,10 +9,10 @@ token, a malformed integer or rational literal or a value outside a flag's
 choices, a missing required flag, ``scan`` with both or neither of
 ``--grid`` and ``--grid-geom``, or a ``--grid-geom`` factor not above 1 or
 COUNT outside 1..1000); 2 computation error (a domain or budget
-violation, e.g. n > N, f outside (0,1), the enumeration budget exceeded), a
-stdout whose reader has closed it, or an ``--out`` file that cannot be
-written (stdout has the output by then); 3 verification failure (``verify``
-ran and a check failed or compared nothing).
+violation, e.g. n > N, f outside (0,1), the enumeration or result-digit
+budget exceeded), a stdout whose reader has closed it, or an ``--out`` file
+that cannot be written (stdout has the output by then); 3 verification
+failure (``verify`` ran and a check failed or compared nothing).
 
 Rationals are exact literals ``p/q`` or bare integers: float syntax is
 rejected, so no result silently inherits binary rounding.
@@ -26,13 +26,13 @@ import sys
 import warnings
 from types import SimpleNamespace
 
-from .correlation import CorrRecord, LimitSpec, convergence_scan, evaluate_correlation, limit_spec
+from .correlation import convergence_scan, evaluate_correlation, limit_spec
 from .errors import SrsCorrError
 from .exactnum import parse_rational
-from .oracle import DEFAULT_MC_SEED, McEstimate, monte_carlo_corr
+from .oracle import DEFAULT_MC_SEED, monte_carlo_corr
 from .ppoly import PolyRecord, p_poly
-from .report import columns_of, emit_report
-from .verify import SUITE_NAMES, CheckResult, run_suite
+from .report import emit_report
+from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["run", "main"]
 
@@ -95,27 +95,27 @@ _COMMON = {
     "out": (str, None, "also write the identical bytes to this file"),
 }
 
-# verb -> (help line, record kind, flags besides _COMMON, rows for the parsed flags).
+# verb -> (help line, flags besides _COMMON, rows for the parsed flags): one row at least, or it raises.
 # The computations look up module-level names at call time, so patching one takes effect.
 _VERBS = {
-    "corr": ("exact correlation record for one design", CorrRecord,
+    "corr": ("exact correlation record for one design",
              {"k": _K, "N": _N, "n": (int, _REQUIRED, "sample size, 0 < n < N so the limit column is defined")},
              lambda ns: [evaluate_correlation(ns.k, ns.N, ns.n)]),
-    "limit": ("scaled large-N limit at order k, fraction f", LimitSpec,
+    "limit": ("scaled large-N limit at order k, fraction f",
               {"k": _K, "f": (parse_rational, _REQUIRED, "sampling fraction as p/q in (0,1)")},
               lambda ns: [limit_spec(ns.k, ns.f)]),
-    "scan": ("convergence scan over population sizes", CorrRecord,
+    "scan": ("convergence scan over population sizes",
              {"k": _K, "f": (parse_rational, _REQUIRED, "target sampling fraction p/q"),
               "grid": (_grid_csv, _ONE_OF, "population sizes N1,N2,..., ascending (or --grid-geom)"),
               "grid-geom": (_grid_geom, _ONE_OF, "START:FACTOR:COUNT, COUNT sizes from START by FACTOR (or --grid)")},
              lambda ns: convergence_scan(ns.k, ns.f, ns.grid if ns.grid is not None else ns.grid_geom)),
-    "mc": ("reproducible Monte Carlo estimate", McEstimate,
+    "mc": ("reproducible Monte Carlo estimate",
            {"k": _K, "N": _N, "n": (int, _REQUIRED, "sample size"), "trials": (int, 100_000, "number of trials"),
             "seed": (int, DEFAULT_MC_SEED, "PRNG seed")},
            lambda ns: [monte_carlo_corr(ns.k, ns.N, ns.n, ns.trials, ns.seed)]),
-    "ppoly": ("recursion polynomial coefficients", PolyRecord,
+    "ppoly": ("recursion polynomial coefficients",
               {"k": _K, "m": (int, _REQUIRED, "recursion level, m >= 0 (degree 2m)")}, _ppoly),
-    "verify": ("run identity/invariant suites", CheckResult,
+    "verify": ("run identity/invariant suites",
                {"suite": (_choice(*SUITE_NAMES, "all"), "all", f"{', '.join(SUITE_NAMES)} or all"),
                 "max-k": (int, None, "cap each check's range; a check capped below its lower bound fails")},
                lambda ns: run_suite(ns.suite, ns.max_k)),
@@ -140,7 +140,7 @@ def _help(verb: str | None) -> None:
         verbs = "".join(f"  {name:<8}{spec[0]}\n" for name, spec in _VERBS.items())
         print(f"{__doc__ or ''}\nverbs:\n{verbs}", end="")
         return
-    text, _, flags, _ = _VERBS[verb]
+    text, flags, _ = _VERBS[verb]
     print(f"usage: srscorr {verb} [--FLAG VALUE ...]\n\n{text}\n\nflags:")
     for name, (_, default, line) in {**flags, **_COMMON}.items():
         note = {_REQUIRED: " (required)", _ONE_OF: "", None: ""}.get(default, f" (default {default})")
@@ -154,7 +154,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         if verb.startswith("-") and _flag(verb, ()) == "help":
             return _help(None)
         raise ValueError(f"expected a verb ({', '.join(_VERBS)}), got {verb!r}")
-    flags, stray, tokens = {**_VERBS[verb][2], **_COMMON}, None, iter(rest)
+    flags, stray, tokens = {**_VERBS[verb][1], **_COMMON}, None, iter(rest)
     values = {flag: spec[1] for flag, spec in flags.items()}
     for token in tokens:
         name, eq, value = token.partition("=")
@@ -191,12 +191,12 @@ def run(argv) -> int:
         return 1
     if ns is None:
         return 0
-    _, kind, _, compute = _VERBS[ns.verb]
+    compute = _VERBS[ns.verb][2]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = compute(ns)
-            text = emit_report(rows, ns.format, ns.precision, columns=columns_of(kind))
+            text = emit_report(rows, ns.format, ns.precision)
     except SrsCorrError as exc:
         print(f"error: {exc}", file=sys.stderr)  # the one stderr line: warnings of a failed run are dropped
         return 2
@@ -219,7 +219,7 @@ def run(argv) -> int:
         except OSError as exc:
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return 2
-    return 3 if kind is CheckResult and not all(row.passed for row in rows) else 0
+    return 3 if ns.verb == "verify" and not all(row.passed for row in rows) else 0
 
 
 def main() -> None:

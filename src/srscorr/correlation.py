@@ -60,6 +60,7 @@ from .exactnum import binomial, falling_factorial, normal_moment
 from .ppoly import p0_eval
 
 __all__ = [
+    "RESULT_DIGIT_BUDGET",
     "corr_exact",
     "parity_exponent",
     "theorem_limit",
@@ -72,6 +73,23 @@ __all__ = [
     "evaluate_correlation",
     "convergence_scan",
 ]
+
+
+# The most decimal digits that the numerator or the denominator of an exact
+# result may reach.  On a 2-core host one `corr` or `limit` record at the
+# ceiling takes up to about 1.1 s to compute and render (`corr --k 11500
+# --N 16000 --n 15999`), and the cost grows faster than the digits:
+# `limit --k 200000 --f 1/3` took 19.7 s and printed 986 kB.
+RESULT_DIGIT_BUDGET = 10**5
+
+
+def _check_result_size(caller: str, bits: int) -> None:
+    """Raise DomainError when a result below 2^bits may pass ``RESULT_DIGIT_BUDGET`` digits."""
+    digits = bits * 30103 // 100000 + 1  # bits log10(2), rounded up
+    if digits > RESULT_DIGIT_BUDGET:
+        raise DomainError(
+            f"{caller}: the exact result may have about {digits} digits, past the budget of {RESULT_DIGIT_BUDGET}"
+        )
 
 
 def corr_exact(k: int, N: int, n: int) -> Fraction:
@@ -95,8 +113,15 @@ def corr_exact(k: int, N: int, n: int) -> Fraction:
     together first, so the big integers see one product each: four big-int
     operations per step.  Only integers are multiplied, and the ``Fraction``
     reduces the quotient once.
+
+    Its cost is bounded up front: the denominator N^k (N)_k is below
+    2^(2 k b) with b = N.bit_length(), and |num| is at most the denominator
+    since |Corr(k)| <= 1, so a design with 2 k b log10(2) past
+    ``RESULT_DIGIT_BUDGET`` digits raises ``DomainError`` before any big-int
+    work.
     """
     check_design("corr_exact", k, N, n)
+    _check_result_size("corr_exact", 2 * k * N.bit_length())
     num = head = 1
     for j in range(1, k + 1):
         head = head * ((k - j + 1) * (n - j + 1) * N) // j
@@ -123,12 +148,20 @@ def theorem_limit(k: int, f: Fraction | int) -> Fraction:
 
     The formulas extend consistently to k = 0 (limit 1) and k = 1 (limit 0),
     matching Corr(0) = 1 and Corr(1) = 0, so those orders are admitted too.
+
+    Its cost is bounded up front: with f = p/q, the denominator divides
+    3 q^k and the numerator is below q^k k (k+1)!!, which is below 2^bits
+    with bits = k q.bit_length() + (k//2 + 2) (k+1).bit_length(), since
+    (k+1)!! has at most k//2 + 1 factors, each at most k+1.  An order and
+    fraction with bits log10(2) past ``RESULT_DIGIT_BUDGET`` digits raise
+    ``DomainError`` before any big-int work.
     """
     if k < 0:
         raise DomainError(f"theorem_limit requires k >= 0, got k={k}")
     f = Fraction(f)
     if not 0 < f < 1:
         raise DomainError(f"theorem_limit requires 0 < f < 1, got f={f}")
+    _check_result_size("theorem_limit", k * f.denominator.bit_length() + (k // 2 + 2) * (k + 1).bit_length())
     ff = f * (f - 1)
     if k % 2 == 0:
         return ff ** (k // 2) * normal_moment(k)
@@ -312,16 +345,11 @@ def _record(k: int, N: int, n: int, exponent: int, limit: Fraction) -> CorrRecor
     return CorrRecord(k=k, N=N, n=n, f=Fraction(n, N), corr=corr, scaled=N**exponent * corr, limit=limit)
 
 
-def evaluate_correlation(k: int, N: int, n: int, limit_f: Fraction | None = None) -> CorrRecord:
-    """Evaluate one design into a :class:`CorrRecord`.
-
-    ``limit_f`` selects the fraction at which the limit is evaluated; it
-    defaults to the realized fraction n/N, which the record reports either
-    way.
-    """
+def evaluate_correlation(k: int, N: int, n: int) -> CorrRecord:
+    """Evaluate one design into a :class:`CorrRecord`, with its limit at the
+    realized fraction n/N (``convergence_scan`` compares with the target f)."""
     check_design("corr_exact", k, N, n)  # before n/N is formed, with the message corr_exact gives
-    limit = theorem_limit(k, Fraction(n, N) if limit_f is None else limit_f)
-    return _record(k, N, n, parity_exponent(k), limit)
+    return _record(k, N, n, parity_exponent(k), theorem_limit(k, Fraction(n, N)))
 
 
 def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:

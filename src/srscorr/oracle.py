@@ -81,18 +81,15 @@ MC_STEP_BUDGET = 1 << 32
 # Monte Carlo batch shape: at most this many lanes, and at most this many
 # tracker cells (lanes x k) per batch, so sampler memory is bounded by k alone.
 # At 32768 lanes each lane-sized uint64 array is 256 KiB, and a k = 5 run
-# peaks near 1.44 MB traced, against 3.08 MB at 65536 lanes, which ran no
-# faster.
-_MAX_LANES = 32768
-_TRACKER_BUDGET = 1 << 20
-# Draws per NumPy block (steps x lanes), so few lanes still make large calls.
-# It equals _MAX_LANES, so a block's two uint64 scratch arrays are no larger
-# than a full batch's rows.
+# peaks near 1.44 MB traced.  _MAX_LANES also caps the draws (steps x lanes)
+# of one NumPy block, so few lanes still make large calls and a block's two
+# uint64 scratch arrays are no larger than a full batch's rows.
 # A draw below b is rejected with chance under b / 2^64, so a full block is cut
 # with chance under N / 2^49 and blocks stay nearly whole up to N ~ 2^49; they
 # collapse only near 2^63.  Blocks are used only up to 2^32, a conservative
 # bound that keeps the one-step cost for larger N.
-_DRAW_BUDGET = 1 << 15
+_MAX_LANES = 32768
+_TRACKER_BUDGET = 1 << 20
 _BLOCK_MAX_N = 1 << 32
 
 
@@ -311,7 +308,7 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
     ``states`` in place.
 
     Where lanes are few (and N <= ``_BLOCK_MAX_N``), one block mixes the
-    candidate outputs of up to ``_DRAW_BUDGET // lanes`` steps at once.  A
+    candidate outputs of up to ``_MAX_LANES // lanes`` steps at once.  A
     step's candidate is the lane's next raw output, so the block is exact up
     to the first step in which some lane's output exceeds the largest
     accepted output, ``_MASK64 - 2^64 mod bound``, that ``_draw_below`` also
@@ -320,7 +317,7 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
     one-row block.  All draws of a call mix in the same two scratch arrays,
     so no step allocates a lane-sized temporary.
     """
-    rows_cap = max(1, min(n, _DRAW_BUDGET // states.size)) if N <= _BLOCK_MAX_N else 1
+    rows_cap = max(1, min(n, _MAX_LANES // states.size)) if N <= _BLOCK_MAX_N else 1
     ahead = np.arange(1, rows_cap + 1, dtype=np.uint64)[:, np.newaxis] * np.uint64(_GOLDEN)  # wraps mod 2^64
     z_rows, tmp_rows = np.empty((2, rows_cap, states.size), dtype=np.uint64)
     z_row, tmp_row = z_rows[0], tmp_rows[0]

@@ -42,9 +42,14 @@ from .exactnum import (
 )
 from .oracle import (
     _GOLDEN,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     DEFAULT_MC_SEED,
     SplitMix64,
     _draw_below,
+    _fisher_yates_blocks,
+    _mix64,
     _tracked_histogram,
     brute_force_corr,
     hypergeom_inclusion_prob,
@@ -516,6 +521,22 @@ class _ScriptedDraws:
         return next(self.draws, 0)
 
 
+def _unmix64(y: int) -> int:
+    """The input that ``_mix64`` scrambles to ``y``: each multiply is undone by
+    its inverse mod 2^64, and each xorshift z ^ (z >> s) by feeding the shifted
+    guess back until every bit is settled."""
+
+    def unshift(y: int, s: int) -> int:
+        z = y
+        for _ in range(64 // s):
+            z = y ^ (z >> s)
+        return z
+
+    z = unshift(y, 31) * pow(_MIX2, -1, 1 << 64) & _MASK64
+    z = unshift(z, 27) * pow(_MIX1, -1, 1 << 64) & _MASK64
+    return unshift(z, 30)
+
+
 @_check("oracle", "moment-expansion-vs-enumeration", "N <= 12, all n, k <= min({top}, N)", 8)
 def _(r, top):
     # enumeration against corr_exact and an independent moment expansion
@@ -575,7 +596,10 @@ def _(r, top):
             r.equal(hist.tolist(), law, f"N={N} n={n} k={k} tracker")
 
 
-@_check("oracle", "lockstep-rejection", "64 lanes x 8 steps at bounds 2^63+1 and 3*2^62+1", 2)
+@_check(
+    "oracle", "lockstep-rejection",
+    "64 lanes x 8 steps at bounds 2^63+1 and 3*2^62+1; 4 lanes x 12 steps at N=1000 with one lane rejected at step 5", 2,
+)
 def _(r, top):
     # about half and a quarter of all raw outputs are rejected at these bounds
     if top < 2:
@@ -589,6 +613,19 @@ def _(r, top):
         r.equal(lockstep, [[rng.next_below(bound) for rng in rngs] for _ in range(8)], f"bound={bound} draws")
         r.equal(states.tolist(), [rng.state for rng in rngs], f"bound={bound} final states")
         r.expect(states.tolist() != [(s + 8 * _GOLDEN) % 2**64 for s in seeds], f"bound={bound}: no lane redrew")
+    # few lanes at N <= 2^32 draw in multi-step blocks; lane 0's raw output at
+    # step 5 is 2^64 - 1, above the acceptance limit of every bound that is not
+    # a power of two, so the 12-step block must be cut there
+    N, n = 1000, 12
+    seeds = [(_unmix64(_MASK64) - 6 * _GOLDEN) % 2**64] + seeds[:3]
+    states = np.array(seeds, dtype=np.uint64)
+    blocks = [block.tolist() for _, block in _fisher_yates_blocks(states, N, n, np.dtype(np.uint64))]
+    rngs = [SplitMix64(seed) for seed in seeds]
+    replay = [[i + rng.next_below(N - i) for rng in rngs] for i in range(n)]
+    r.equal([row for block in blocks for row in block], replay, f"N={N} block partners")
+    r.equal(states.tolist(), [rng.state for rng in rngs], f"N={N} final states")
+    r.equal([len(block) for block in blocks], [5, 1, 6], f"N={N} block sizes")
+    r.equal(_mix64(_unmix64(_MASK64)), _MASK64, "unmixed output")
 
 
 @_check("oracle", "mc-bit-reproducibility", "(k,N,n)=(2,10,5), 20000 trials, fixed seed", 2)

@@ -20,11 +20,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srscorr import cli
-from srscorr.correlation import LimitSpec, evaluate_correlation, limit_spec
+from srscorr.correlation import CorrRecord, LimitSpec, evaluate_correlation, limit_spec
 from srscorr.errors import DomainError
-from srscorr.oracle import DEFAULT_MC_SEED, monte_carlo_corr
+from srscorr.oracle import DEFAULT_MC_SEED, McEstimate, monte_carlo_corr
 from srscorr.ppoly import PolyRecord, p_poly
-from srscorr.report import PRECISION_BUDGET, decimal_str, emit_report, parse_corr_row, parse_mc_row, parse_row
+from srscorr.report import (
+    PRECISION_BUDGET,
+    columns_of,
+    decimal_str,
+    emit_report,
+    parse_corr_row,
+    parse_mc_row,
+    parse_row,
+)
 from srscorr.verify import SUITE_NAMES, CheckResult
 
 
@@ -153,6 +161,25 @@ def test_verify_verb_reports_failures_with_exit_3(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "exactnum")
     assert code == 3
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["corr", "--k", "2", "--N", "10", "--n", "5"], CorrRecord),
+        (["limit", "--k", "3", "--f", "1/3"], LimitSpec),
+        (["scan", "--k", "2", "--f", "1/2", "--grid", "10,20"], CorrRecord),
+        (["mc", "--k", "2", "--N", "10", "--n", "5", "--trials", "100"], McEstimate),
+        (["ppoly", "--k", "2", "--m", "1"], PolyRecord),
+        (["verify", "--suite", "exactnum", "--max-k", "2"], CheckResult),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_csv_header_is_the_record_kinds_columns(capsys, argv, kind):
+    # the verb table names no record kind: the header comes from the rows the verb returns
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    assert tuple(next(csv.reader(io.StringIO(out)))) == columns_of(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +353,16 @@ def test_precision_past_the_budget_is_refused_up_front(capsys):
     assert len(decimal_str(Fraction(1, 3), PRECISION_BUDGET)) == PRECISION_BUDGET + 2  # the budget itself renders
 
 
+def test_result_past_the_digit_budget_is_refused_up_front(capsys):
+    # limit --k 200000 took 19.7 s and printed 986 kB before the budget
+    for argv in (["limit", "--k", "200000", "--f", "1/3"], ["corr", "--k", "100000", "--N", "10000000", "--n", "4000000"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "past the budget" in err and err.count("\n") == 1, argv
+
+
 def test_ppoly_past_the_budget_is_refused_up_front(capsys):
     # the value rows alone would take m * max(2m, k) = 8 * 10^6 additions
     start = time.perf_counter()
@@ -412,6 +449,7 @@ def test_computation_errors_exit_2(capsys):
 
 # value pools of the argv fuzzer below
 _INTS = st.integers(-1, 60).map(str)
+_ORDERS = st.one_of(_INTS, st.just("200000"))
 _RATIONALS = st.sampled_from(["0", "1", "1/100", "1/3", "2/5", "7/5", "0.5", "1/0", "p/q"])
 _SIZES = st.lists(st.integers(-1, 60), max_size=5)
 _GRID = st.one_of(_SIZES, _SIZES.map(sorted)).map(lambda sizes: ",".join(map(str, sizes)))
@@ -428,9 +466,9 @@ _EXTRA_FLAGS = {
 # verb -> (flags always given, so that no draw runs long; the verb's other
 # flags, each dropped now and then; flags the fuzzer adds now and then)
 _VERB_FLAGS = {
-    "corr": ({}, {"--k": _INTS, "--N": _INTS, "--n": _INTS}, {}),
-    "limit": ({}, {"--k": _INTS, "--f": _RATIONALS}, {}),
-    "scan": ({}, {"--k": _INTS, "--f": _RATIONALS, "--grid": _GRID}, {"--grid-geom": _GRID_GEOM}),
+    "corr": ({}, {"--k": _ORDERS, "--N": _INTS, "--n": _INTS}, {}),
+    "limit": ({}, {"--k": _ORDERS, "--f": _RATIONALS}, {}),
+    "scan": ({}, {"--k": _ORDERS, "--f": _RATIONALS, "--grid": _GRID}, {"--grid-geom": _GRID_GEOM}),
     "mc": (
         {"--trials": st.one_of(_INTS, st.sampled_from(["2000", "100000000000"]))},
         {"--k": _INTS, "--N": _INTS, "--n": _INTS},
@@ -481,14 +519,14 @@ def test_any_argv_exits_with_a_documented_code_and_one_line(tmp_path_factory, ar
     the shared flags and one unknown flag, and never raises; a usage error
     (1) or a computation error (2) prints exactly one stderr line.  Each
     ``--flag=value`` reads as ``--flag value`` does: the same exit code and
-    the same stdout.  The value pools stay inside the cost budget that the
-    CLI does not enforce yet (on result size): every int is at most 60, and
-    ``verify`` always gets a ``--max-k`` of at most 1, so no draw can run
-    long.  A ``--grid-geom`` COUNT is at most 5, or 10^9, which the COUNT
-    cap refuses.  MC runs at most 2000 trials, or 10^11, which the Monte Carlo
-    budget refuses; ``--precision`` is at most 60, or 10^8, which the
-    precision budget refuses; ppoly's ``--m`` is at most 60, or 2000, which
-    the ppoly budget refuses."""
+    the same stdout.  Every int is at most 60, and ``verify`` always gets a
+    ``--max-k`` of at most 1, so no draw can run long.  The ``--k`` of
+    ``corr``, ``limit`` and ``scan`` may also be 2 * 10^5, which the result
+    digit budget refuses.  A ``--grid-geom`` COUNT is at most 5, or 10^9,
+    which the COUNT cap refuses.  MC runs at most 2000 trials, or 10^11,
+    which the Monte Carlo budget refuses; ``--precision`` is at most 60, or
+    10^8, which the precision budget refuses; ppoly's ``--m`` is at most 60,
+    or 2000, which the ppoly budget refuses."""
     out = tmp_path_factory.getbasetemp() / "fuzz-out"
     argv = [token.replace(_OUT, str(out)) for token in argv]
     code, stdout, err = _run_quietly(argv)

@@ -1,17 +1,22 @@
 """Tests for the exact inclusion correlations Corr(k), their scaled limits,
 the alpha-coefficient table, and the convergence scan."""
 
+import dataclasses
 import hashlib
+import time
 import warnings
 from fractions import Fraction
 from math import floor
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from srscorr import correlation
 from srscorr.correlation import (
     _ALPHA_CACHE,
+    RESULT_DIGIT_BUDGET,
     AlphaTable,
     CorrRecord,
     LimitSpec,
@@ -125,6 +130,41 @@ def test_theorem_limit_rejects_boundary_fractions():
         theorem_limit(-1, Fraction(1, 2))
 
 
+@st.composite
+def _fractions(draw):
+    q = draw(st.integers(2, 10**12))
+    return Fraction(draw(st.integers(1, q - 1)), q)
+
+
+@given(_designs(), _fractions())
+@example((0, 1, 0), Fraction(1, 2))  # the smallest results, 1 and 1
+@example((40, 10**7, 10**7 - 1), Fraction(999_999_999_999, 10**12))
+def test_each_result_size_estimate_bounds_the_digits(design, f):
+    """With the budget one digit below a result's actual size, the call
+    that gives it is refused: each estimate is an upper bound."""
+    k, N, n = design
+    for call in (lambda: corr_exact(k, N, n), lambda: theorem_limit(k, f)):
+        value = call()
+        digits = max(len(str(abs(value.numerator))), len(str(value.denominator)))
+        with mock.patch.object(correlation, "RESULT_DIGIT_BUDGET", digits - 1):
+            with pytest.raises(DomainError, match="past the budget"):
+                call()
+
+
+def test_results_past_the_digit_budget_are_refused_up_front():
+    # N past 4300 digits too: the estimate reads N.bit_length(), never str(N)
+    assert RESULT_DIGIT_BUDGET == 10**5
+    start = time.perf_counter()
+    for call in (
+        lambda: corr_exact(100_000, 10**7, 4 * 10**6),
+        lambda: corr_exact(2, 10**60_000, 1),
+        lambda: theorem_limit(200_000, Fraction(1, 3)),
+    ):
+        with pytest.raises(DomainError, match="past the budget"):
+            call()
+    assert time.perf_counter() - start < 0.5
+
+
 def test_limit_spec_record():
     spec = limit_spec(3, Fraction(1, 3))
     assert spec == LimitSpec(k=3, f=Fraction(1, 3), value=Fraction(4, 27), exponent=2)
@@ -224,11 +264,6 @@ def test_evaluate_correlation_record():
     assert rec.abs_error == abs(rec.scaled - rec.limit)
 
 
-def test_evaluate_correlation_with_explicit_limit_f():
-    rec = evaluate_correlation(2, 10, 5, limit_f=Fraction(2, 5))
-    assert rec.limit == theorem_limit(2, Fraction(2, 5))
-
-
 def test_evaluate_correlation_rejects_boundary_designs():
     # n = 0 and n = N give f outside (0, 1), where no limit exists; a full
     # record cannot be assembled there.
@@ -276,10 +311,12 @@ def _scans(draw):
 def test_convergence_scan_matches_evaluate_correlation(scan):
     """The scan, which computes its limit once, gives at each interior grid
     entry the record that ``evaluate_correlation`` gives at the half-up
-    rounded sample size, and warns once for each skipped entry."""
+    rounded sample size, with the limit at the target f rather than at the
+    realized n/N, and warns once for each skipped entry."""
     k, f, grid = scan
     designs = [(N, floor(f * N + Fraction(1, 2))) for N in grid]
-    expected = [evaluate_correlation(k, N, n, limit_f=f) for N, n in designs if 0 < n < N]
+    limit = theorem_limit(k, f)
+    expected = [dataclasses.replace(evaluate_correlation(k, N, n), limit=limit) for N, n in designs if 0 < n < N]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if not expected:

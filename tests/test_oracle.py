@@ -245,33 +245,33 @@ def _mc_designs(draw):
     trials = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**64 - 1))
     max_lanes = draw(st.sampled_from([1, 7, 64, oracle._MAX_LANES]))
-    draw_budget = draw(st.sampled_from([1, 16, 64, oracle._DRAW_BUDGET]))
     blocks_past_2_32 = draw(st.booleans())
-    return k, N, n, trials, seed, max_lanes, draw_budget, blocks_past_2_32
+    return k, N, n, trials, seed, max_lanes, blocks_past_2_32
 
 
-_BLOCKS = oracle._DRAW_BUDGET
+_LANES = oracle._MAX_LANES
 
 
 @given(_mc_designs())
-@example((0, 5, 3, 10, 1, 64, _BLOCKS, False))  # k = 0
-@example((7, 7, 4, 50, 2, 7, 16, False))  # k = N
-@example((3, 9, 0, 20, 3, 1, _BLOCKS, False))  # n = 0
-@example((3, 9, 9, 20, 4, 7, 64, False))  # n = N
-@example((40, 40, 20, 300, 5, oracle._MAX_LANES, _BLOCKS, False))  # the largest order drawn
-@example((3, 2**31 + 5, 5, 30, 6, 7, _BLOCKS, False))  # positions past 32 bits
-@example((3, 10**12, 5, 30, 7, oracle._MAX_LANES, _BLOCKS, False))  # a population no dense permutation fits
-@example((4, 256, 255, 40, 8, 16, 64, False))  # the widest population with 8-bit positions
-@example((4, 257, 256, 300, 9, 64, 1000, False))  # position 256 needs 16 bits
-@example((3, 65536, 40, 100, 10, 7, _BLOCKS, False))  # the widest population with 16-bit positions
-@example((3, 65537, 40, 100, 11, 7, _BLOCKS, False))  # 32-bit positions
-@example((2, 2**63 + 2**61, 40, 2, 12, 64, _BLOCKS, True))  # blocks past 2^32: 3/8 of raw outputs reject
-@example((300, 400, 390, 5, 13, oracle._MAX_LANES, _BLOCKS, False))  # counts past 255, wider than 8 bits
+@example((0, 5, 3, 10, 1, 64, False))  # k = 0
+@example((7, 7, 4, 50, 2, 7, False))  # k = N
+@example((3, 9, 0, 20, 3, 1, False))  # n = 0
+@example((3, 9, 9, 20, 4, 7, False))  # n = N
+@example((40, 40, 20, 300, 5, _LANES, False))  # the largest order drawn
+@example((3, 2**31 + 5, 5, 30, 6, 7, False))  # positions past 32 bits
+@example((3, 10**12, 5, 30, 7, _LANES, False))  # a population no dense permutation fits
+@example((4, 256, 255, 40, 8, 16, False))  # the widest population with 8-bit positions
+@example((4, 257, 256, 300, 9, 64, False))  # position 256 needs 16 bits
+@example((3, 65536, 40, 100, 10, 7, False))  # the widest population with 16-bit positions
+@example((3, 65537, 40, 100, 11, 7, False))  # 32-bit positions
+@example((2, 2**63 + 2**61, 40, 2, 12, 64, True))  # blocks past 2^32: 3/8 of raw outputs reject
+@example((300, 400, 390, 5, 13, _LANES, False))  # counts past 255, wider than 8 bits
+@example((3, 40, 30, 70, 14, 64, False))  # a 64-lane batch of one-row blocks, then 6 lanes in 10-row blocks
 def test_monte_carlo_agrees_with_scalar_replay(design):
     # the lockstep draws, final stream states and histogram must reproduce a
     # plain per-trial replay of sample_srs on the same substreams, for any
-    # batch size and block size
-    k, N, n, trials, seed, max_lanes, draw_budget, blocks_past_2_32 = design
+    # lane cap, which sets both the batch size and the block size
+    k, N, n, trials, seed, max_lanes, blocks_past_2_32 = design
     hist = [0] * (k + 1)
     draws, ends = [], []
     for t in range(trials):
@@ -284,7 +284,6 @@ def test_monte_carlo_agrees_with_scalar_replay(design):
     states = np.array([trial_stream_seed(seed, t) for t in range(trials)], dtype=np.uint64)
     with (
         mock.patch.object(oracle, "_MAX_LANES", max_lanes),
-        mock.patch.object(oracle, "_DRAW_BUDGET", draw_budget),
         mock.patch.object(oracle, "_BLOCK_MAX_N", 2**64 if blocks_past_2_32 else oracle._BLOCK_MAX_N),
     ):
         blocks = oracle._fisher_yates_blocks(states, N, n, np.dtype(np.uint64))
@@ -323,20 +322,20 @@ def _sparse_designs(draw):
     k = draw(st.integers(1, 5))
     n = draw(st.integers(k, min(N, 12_000 // lanes)))
     seed = draw(st.integers(0, 2**64 - 1))
-    draw_budget = draw(st.sampled_from([256, oracle._DRAW_BUDGET]))
-    return k, N, n, lanes, seed, draw_budget
+    max_lanes = draw(st.sampled_from([256, oracle._MAX_LANES]))
+    return k, N, n, lanes, seed, max_lanes
 
 
 @settings(max_examples=15)
 @given(_sparse_designs())
-@example((2, 1268, 523, 60, 1, _BLOCKS))
-@example((4, 3358, 1555, 20, 2, _BLOCKS))
-@example((1, 326, 200, 20, 3, _BLOCKS))
+@example((2, 1268, 523, 60, 1, _LANES))
+@example((4, 3358, 1555, 20, 2, _LANES))
+@example((1, 326, 200, 20, 3, _LANES))
 def test_event_tracker_agrees_with_scalar_replay(design):
     # a label sent ahead by a step that reaches it can meet later rows of the
     # same block that no up-front compare found
-    k, N, n, lanes, seed, draw_budget = design
-    with mock.patch.object(oracle, "_DRAW_BUDGET", draw_budget):
+    k, N, n, lanes, seed, max_lanes = design
+    with mock.patch.object(oracle, "_MAX_LANES", max_lanes):
         assert oracle._intersection_histogram(k, N, n, lanes, seed) == _scalar_histogram(k, N, n, lanes, seed)
 
 

@@ -39,7 +39,7 @@ _PINNED_OUTPUTS = [
     ("ppoly --k 8 --m 3 --format csv", "183448dd9d1cb9290e0803824647c9bfee5f1733f10fd5a139614fd6eb33ee13"),
     ("verify --suite exactnum --max-k 3 --format csv", "b196241f242954cacca20c106ec3454ce90b4fffeba699a083f0003f82df916c"),
     # every check capped, at the smallest cap where each one still compares something
-    ("verify --max-k 2", "159e1220ae9ef13c9bb815624e0e02302ceef881634447cb38f78fd8a3513070"),
+    ("verify --max-k 2", "f124232ee0d196f4beb3d2e0ff3d73055393e4ed514bf696689735276e2c8640"),
     # benchmark scale: orders up to 128 at N near 10^7, as in perfbench's exact-scan
     ("corr --k 118 --N 9876543 --n 3950617 --format json --precision 80", "40a42ce7267569b7fe1b1ff199a37a5f0163661262341772a3bf7b0b10c41ffe"),
     ("scan --k 128 --f 37/97 --grid-geom 1234567:3/2:6 --format json --precision 12", "3b2c3da90fc9d1df2b62e73ff56b4712fefdc89325284527fa1f72429e4b7f28"),
@@ -47,8 +47,9 @@ _PINNED_OUTPUTS = [
     # benchmark scale for the recursion polynomials: degrees 32 and 38, as in perfbench's poly-tables
     ("ppoly --k 60 --m 16", "eb592d70f8833fbe60853cdc03374c9037a49ee331ac7c662e6f2f6c231bdc55"),
     ("ppoly --k 24 --m 19 --format csv", "e675bede0b9753d96a7b444472ecfcad04e6477a48cfd7e64a9fd9038a9b9ad9"),
-    # the lockstep sampler at benchmark shapes: a few lanes at large N, 65536 lanes at small N,
-    # N = 257 where position 256 needs more than 8 bits, and N just below 2^64
+    # the lockstep sampler at benchmark shapes: a few lanes at large N, 65536 trials at small N
+    # (two batches of 32768 lanes), N = 257 where position 256 needs more than 8 bits, and N just
+    # below 2^64
     ("mc --k 3 --N 90000 --n 2000 --trials 180 --seed 5", "0438606e71f68ba1d46b2c8740ef9a3c06297ac4821ebf465b12e0c753e669b7"),
     ("mc --k 5 --N 230 --n 33 --trials 65536", "a399a5d42cde5c8730c68818adf3b6917db5fe013d67faebbeb48df37d3fdeeb"),
     ("mc --k 4 --N 257 --n 256 --trials 3000", "d34582b25eb71d4783feaeebbc11af23505b9f4d711fb582beb5c928bf2d87cd"),
@@ -76,8 +77,8 @@ def test_scan_with_no_interior_design_writes_no_bytes(tmp_path, capsys):
 
 # sha256 of ``python -m srscorr verify`` stdout: every registry check at its full range.
 _VERIFY_DIGESTS = {
-    "json": "e30e39beb891ae52c81c7b66f7dc953fef96871dd3565fb4d620e4174cc074ad",
-    "csv": "9dfad6769f403e2dd4927564925b9b33117a843766ce9a6c6c5b66ef330ee0f4",
+    "json": "8c773f8f78211012f3be9a4aafa76ad572e64e8e3307bb05e5b067f40cc104af",
+    "csv": "ab099847df192d6a200b3fed7d258a4563e16a60e8c6a0f3f670901b4c3045c8",
 }
 
 
