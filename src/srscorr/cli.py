@@ -7,12 +7,13 @@ Exit codes: 0 success or help; 1 usage error (an unknown verb or flag, an
 ambiguous prefix, a flag with no value or followed by another flag, a stray
 token, a malformed integer or rational literal or a value outside a flag's
 choices, a missing required flag, ``scan`` with both or neither of
-``--grid`` and ``--grid-geom``, or a ``--grid-geom`` factor not above 1 or
-COUNT outside 1..1000); 2 computation error (a domain or budget
-violation, e.g. n > N, f outside (0,1), the enumeration or result-digit
-budget exceeded), a stdout whose reader has closed it, or an ``--out`` file
-that cannot be written (stdout has the output by then); 3 verification
-failure (``verify`` ran and a check failed or compared nothing).
+``--grid`` and ``--grid-geom``, a ``--grid`` of more than 1000 sizes, or a
+``--grid-geom`` factor not above 1 or COUNT outside 1..1000); 2 computation
+error (a domain or budget violation, e.g. n > N, f outside (0,1), the
+enumeration or result-digit budget exceeded), a stdout whose reader has
+closed it, or an ``--out`` file that cannot be written (stdout has the
+output by then); 3 verification failure (``verify`` ran and a check failed
+or compared nothing).
 
 Rationals are exact literals ``p/q`` or bare integers: float syntax is
 rejected, so no result silently inherits binary rounding.
@@ -37,14 +38,17 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["run", "main"]
 
 
+# The most sizes a --grid or --grid-geom may ask for.  On a 2-core host `scan
+# --k 2 --grid-geom 2:2:1000` takes about 0.35 s, and 10^4 sizes took 11 s and
+# 77 MB of output: the time grows faster than the count.
+_GRID_MAX = 1000
+
+
 def _grid_csv(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-# The most sizes a --grid-geom may ask for.  On a 2-core host `scan --k 2
-# --grid-geom 2:2:1000` takes about 0.35 s, and 10^4 sizes took 11 s and 77 MB
-# of output: the time grows faster than the count.
-_GEOM_COUNT_MAX = 1000
+    sizes = [tok for tok in text.split(",") if tok.strip() != ""]
+    if len(sizes) > _GRID_MAX:
+        raise ValueError(f"at most {_GRID_MAX} sizes, got {len(sizes)}")
+    return [int(tok) for tok in sizes]
 
 
 def _grid_geom(text: str) -> list[int]:
@@ -59,8 +63,8 @@ def _grid_geom(text: str) -> list[int]:
         raise ValueError("geometric factor must be > 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > _GEOM_COUNT_MAX:
-        raise ValueError(f"count must be <= {_GEOM_COUNT_MAX}")
+    if count > _GRID_MAX:
+        raise ValueError(f"count must be <= {_GRID_MAX}")
     p, q = factor.numerator, factor.denominator
     grid: list[int] = []
     top, bottom = start, 1  # start (p/q)^i = top / bottom

@@ -34,11 +34,11 @@ The N-degree of alpha is at most k//2, which is the theorem's boundedness,
 since e(k) + k//2 = k.  The cumulant route shows why: with
 h_f(t) = f log(1 + (1-f)t) + (1-f) log(1 - ft), which starts at t^2,
 sum_k C(N, k) Corr(k) t^k = exp(N h_f(t)), so N^r reaches t^k only when
-2r <= k.  The table therefore reads and adds only the entries at N^r with
-r <= k//2, and the rest stay 0.  ``coefficient_limit`` gives the limit of
-each scaled f-coefficient, which is the table's N^(k//2) column; summing
-those limits against powers of f recovers the theorem limit, a polynomial
-identity the verification suite checks exactly.
+2r <= k.  The table therefore holds only the entries at N^r with r <= k//2.
+``coefficient_limit`` gives the limit of each scaled f-coefficient, which is
+the table's N^(k//2) column; summing those limits against powers of f
+recovers the theorem limit, a polynomial identity the verification suite
+checks exactly.
 
 ``_ALPHA_CACHE`` holds each finished ``AlphaTable`` by k, in the idiom of
 ``ppoly._P_CACHE``: the table is frozen and its rows are tuples, so every
@@ -191,12 +191,10 @@ class AlphaTable:
     For fixed k, Corr(k) at design (N, n) factors as alpha(k, f) / (N)_k
     where f = n/N and
 
-        alpha(k, f) = sum_{v=0}^{k} f^(k-v) sum_{r=0}^{k} coeffs[v][r] N^r.
+        alpha(k, f) = sum_{v=0}^{k} f^(k-v) sum_{r=0}^{k//2} coeffs[v][r] N^r.
 
-    Every entry with r > k//2 is 0: N^(k//2) is alpha's N-degree, because
-    the cumulant exponent h_f(t) of the module docstring starts at t^2.  Those
-    columns are kept so that both indices run over 0..k, but they are never
-    computed.
+    No term above N^(k//2) survives: that is alpha's N-degree, because the
+    cumulant exponent h_f(t) of the module docstring starts at t^2.
 
     The table is built once per k from the power-basis rows of (n)_j, each
     from the one before it, and the suffix-form recursion polynomials of
@@ -207,7 +205,7 @@ class AlphaTable:
     """
 
     k: int
-    coeffs: tuple[tuple[int, ...], ...]  # coeffs[v][r], both indices 0..k
+    coeffs: tuple[tuple[int, ...], ...]  # coeffs[v][r], v in 0..k, r in 0..k//2
 
     def f_coefficient(self, v: int, N: int) -> int:
         """sum_r coeffs[v][r] N^r: the coefficient of f^(k-v) in alpha."""
@@ -256,19 +254,18 @@ def alpha_coefficients(k: int) -> AlphaTable:
     segment in one slice assignment.
 
     The N-degree of alpha is at most k//2 (cumulant route, module
-    docstring), so every entry at N^r with r > k//2 sums to 0.  Only entries
-    at N^r with r <= k//2 are read and added: the tail is read only as far
-    as the row whose segment starts lowest needs it, each segment stops at
-    N^(k//2), and rows whose segment starts above it are skipped.  The
-    finished table is memoised by k.
+    docstring), so each row holds only N^0..N^(k//2): the tail is read only
+    as far as the row whose segment starts lowest needs it, each segment
+    stops at the row's end, and rows whose segment starts past it are
+    skipped.  The finished table is memoised by k.
     """
     if k < 0:
         raise DomainError(f"alpha_coefficients requires k >= 0, got k={k}")
     table = _ALPHA_CACHE.get(k)
     if table is not None:
         return table
-    rows = [[0] * (k + 1) for _ in range(k + 1)]
-    half = k // 2  # the N-degree bound: every entry past N^half is zero
+    half = k // 2  # the N-degree bound: no term past N^half survives
+    rows = [[0] * (half + 1) for _ in range(k + 1)]
     # head[v] is the coefficient of n^(j-v) in (n)_j, less the zero constant
     # term of j >= 1, so (n)_0 = 1 and (n)_1 = n share the row [1]
     head = [1]
@@ -280,16 +277,13 @@ def alpha_coefficients(k: int) -> AlphaTable:
         # that order, entry r = k-j-i carries the sign (-1)^(k-j+i) = (-1)^r.
         # Only entries r <= top land at or below N^half in some row.
         top = min(k - j, half - j + len(head) - 1)
-        if top < 0:
-            continue
         tail = [p0_eval(k, i, j) for i in range(k - j, k - j - top - 1, -1)]
         scale = binomial(k, j)
         tail[0::2] = map(mul, repeat(scale), tail[0::2])
         tail[1::2] = map(mul, repeat(-scale), tail[1::2])
         for v in range(max(0, j - half), len(head)):
             row, lo = rows[v], j - v
-            hi = min(lo + top, half) + 1  # map(add, ...) stops at the slice's end
-            row[lo:hi] = map(add, row[lo:hi], map(mul, repeat(head[v]), tail))
+            row[lo : lo + top + 1] = map(add, row[lo : lo + top + 1], map(mul, repeat(head[v]), tail))
     table = _ALPHA_CACHE[k] = AlphaTable(k=k, coeffs=tuple(map(tuple, rows)))
     return table
 

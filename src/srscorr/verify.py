@@ -445,6 +445,32 @@ def _(r, top):
             r.equal(table.coeffs[v][k // 2], coefficient_limit(k, v), f"k={k} v={v}")
 
 
+def _alpha_expansion(k: int) -> tuple[tuple[int, ...], ...]:
+    """The whole (k+1) x (k+1) alpha table, entry [v][r] at f^(k-v) N^r, by
+    one integer update per (j, v, i) term of the defining expansion (see
+    ``alpha_coefficients``): no slices, no memo and no degree bound."""
+    table = [[0] * (k + 1) for _ in range(k + 1)]
+    for j in range(k + 1):
+        scale = (-1) ** (k - j) * binomial(k, j)
+        head = [(-1) ** v * stirling_first_unsigned(j, j - v) for v in range(j + 1)]
+        tail = [(-1) ** i * p0_eval(k, i, j) for i in range(k - j + 1)]
+        for v, h in enumerate(head):
+            row = table[v]
+            for i, t in enumerate(tail):
+                row[k - v - i] += scale * h * t
+    return tuple(tuple(row) for row in table)
+
+
+@_check("correlation", "alpha-degree-bound", "2 <= k <= {top}", 60)
+def _(r, top):
+    # the theorem's boundedness: no term of alpha above N^(k//2) survives, so the table holds only N^0..N^(k//2)
+    for k in range(2, top + 1):
+        half, full = k // 2, _alpha_expansion(k)
+        r.expect(not any(any(row[half + 1 :]) for row in full), f"k={k}: a term above N^{half} survives")
+        cut = tuple(row[: half + 1] for row in full)
+        r.expect(alpha_coefficients(k).coeffs == cut, f"k={k}: the table differs from the expansion cut at N^{half}")
+
+
 @_check(
     "correlation", "per-coefficient-convergence",
     "2 <= k <= {top}, v <= e(k), error ratio at N=1e3 vs 1e4 in [5, 20]", 6,

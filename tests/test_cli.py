@@ -313,14 +313,26 @@ def test_grid_geom_matches_the_fraction_loop(start, factor, count):
 
 def test_grid_geom_count_past_the_cap_is_refused_up_front(capsys):
     # at k = 2 a scan over 10^4 sizes took 11 s and printed 77 MB; 10^9 would never end
-    assert len(cli._grid_geom(f"2:2:{cli._GEOM_COUNT_MAX}")) == cli._GEOM_COUNT_MAX
+    assert len(cli._grid_geom(f"2:2:{cli._GRID_MAX}")) == cli._GRID_MAX
     start = time.perf_counter()
-    for count in (cli._GEOM_COUNT_MAX + 1, 10**9):
+    for count in (cli._GRID_MAX + 1, 10**9):
         code, out, err = run_cli(capsys, "scan", "--k", "2", "--f", "1/2", "--grid-geom", f"2:2:{count}")
         assert code == 1 and out == ""
         assert err.startswith("usage error: --grid-geom") and "count must be <= 1000" in err
         assert err.count("\n") == 1
     assert time.perf_counter() - start < 0.5
+
+
+def test_grid_past_the_cap_is_refused_up_front(capsys):
+    # the cap --grid-geom has: a --grid of 10^4 sizes at k = 2 ran 0.24 s and printed 1.8 MB
+    sizes = [str(N) for N in range(10, 10 + cli._GRID_MAX + 1)]
+    assert cli._grid_csv(",".join(sizes[:-1])) == list(range(10, 10 + cli._GRID_MAX))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "scan", "--k", "2", "--f", "1/2", "--grid", ",".join(sizes))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: --grid") and "at most 1000 sizes" in err
+    assert err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):
@@ -452,7 +464,9 @@ _INTS = st.integers(-1, 60).map(str)
 _ORDERS = st.one_of(_INTS, st.just("200000"))
 _RATIONALS = st.sampled_from(["0", "1", "1/100", "1/3", "2/5", "7/5", "0.5", "1/0", "p/q"])
 _SIZES = st.lists(st.integers(-1, 60), max_size=5)
-_GRID = st.one_of(_SIZES, _SIZES.map(sorted)).map(lambda sizes: ",".join(map(str, sizes)))
+_GRID = st.one_of(_SIZES, _SIZES.map(sorted), st.just(list(range(2, 1003)))).map(
+    lambda sizes: ",".join(map(str, sizes))
+)
 _GRID_GEOM = st.tuples(_INTS, _RATIONALS, st.one_of(st.integers(-1, 5), st.just(10**9))).map(
     lambda parts: ":".join(map(str, parts))
 )
@@ -522,7 +536,8 @@ def test_any_argv_exits_with_a_documented_code_and_one_line(tmp_path_factory, ar
     the same stdout.  Every int is at most 60, and ``verify`` always gets a
     ``--max-k`` of at most 1, so no draw can run long.  The ``--k`` of
     ``corr``, ``limit`` and ``scan`` may also be 2 * 10^5, which the result
-    digit budget refuses.  A ``--grid-geom`` COUNT is at most 5, or 10^9,
+    digit budget refuses.  A ``--grid`` has at most 5 sizes, or 1001, which
+    the size cap refuses, and a ``--grid-geom`` COUNT is at most 5, or 10^9,
     which the COUNT cap refuses.  MC runs at most 2000 trials, or 10^11,
     which the Monte Carlo budget refuses; ``--precision`` is at most 60, or
     10^8, which the precision budget refuses; ppoly's ``--m`` is at most 60,

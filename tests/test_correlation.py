@@ -30,8 +30,8 @@ from srscorr.correlation import (
     theorem_limit,
 )
 from srscorr.errors import DomainError
-from srscorr.exactnum import binomial, falling_factorial, stirling_first_unsigned
-from srscorr.ppoly import p0_eval
+from srscorr.exactnum import binomial, falling_factorial
+from srscorr.verify import _alpha_expansion
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +183,6 @@ def test_alpha_table_order_two():
     assert table.corr(10, 5) == Fraction(-1, 36)
 
 
-def _alpha_reference(k):
-    """The alpha table by one integer update per (j, v, i) entry: the triple
-    loop of the defining expansion, with no slices and no memo."""
-    table = [[0] * (k + 1) for _ in range(k + 1)]
-    for j in range(k + 1):
-        scale = (-1) ** (k - j) * binomial(k, j)
-        head = [(-1) ** v * stirling_first_unsigned(j, j - v) for v in range(j + 1)]
-        tail = [(-1) ** i * p0_eval(k, i, j) for i in range(k - j + 1)]
-        for v, h in enumerate(head):
-            row = table[v]
-            for i, t in enumerate(tail):
-                row[k - v - i] += scale * h * t
-    return tuple(tuple(row) for row in table)
-
-
 @given(st.integers(0, 40))
 @example(0)
 @example(1)
@@ -207,7 +192,10 @@ def _alpha_reference(k):
 def test_alpha_table_matches_reference_route_and_is_memoised_by_k(k):
     _ALPHA_CACHE.clear()
     table = alpha_coefficients(k)
-    assert table.coeffs == _alpha_reference(k)
+    half, full = k // 2, _alpha_expansion(k)
+    assert len(table.coeffs) == k + 1 and all(len(row) == half + 1 for row in table.coeffs)
+    assert table.coeffs == tuple(row[: half + 1] for row in full)
+    assert not any(any(row[half + 1 :]) for row in full)  # the cut entries are 0
     assert _ALPHA_CACHE.keys() == {k} and _ALPHA_CACHE[k] is table
     assert alpha_coefficients(k) is table
     alpha_coefficients(k + 1)
@@ -218,16 +206,16 @@ def test_alpha_table_matches_reference_route_and_is_memoised_by_k(k):
 # ops report, at k = 0, 1, 2 and at the benchmark's eight alpha orders.
 _ALPHA_SHA256 = {
     0: "8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c",
-    1: "221953990bf67664d927a24118a0cc043785fbcda6c4c883e8b6c1079c238f3b",
-    2: "b3f3675a78db28c99362c4bcea5aae87a5b76d05dcc38fe6465d40a92d752126",
-    24: "ad364ece31ea3e47477378ee1ac22b44828f3c6a5d2e8d98d95f1f21468f7d2e",
-    27: "583d18b9abdb78f14ec98134dba6590c70343f64662b97220f15dfe80571df05",
-    31: "d93146450bfebb1853385b800326d888b824dcc670518a30f85ad49633eb6f87",
-    36: "eaa5cfe0f9bb95063f34700672e9af1d1fba3f7c836c19516603e42bcfac1bbf",
-    41: "b05eb0ab62855a141bb9dfb518357164a4eb82f39d9724d5a3c5a09a215b1f64",
-    46: "d4774675af410e01b3d1524a3ec8cd12287a25a2b54e3d2223ce10d6a8fc1a6b",
-    53: "50e3a0d01377fb6dac9e18a7d19d78986e425f2fb0aa521dd794fc9bc7994f10",
-    60: "1d5e113867f910762bb8f5d385f02cf528ddba6fc805b2ff9ecea7dd21ed8733",
+    1: "b0d08f477f7f39696560a85c78ebccb7e919a5eeba0bf9466346cb173616fe5b",
+    2: "27d27df45a4c84a5fddb07a3e2c33ce53526e3575d8ad82d72775d815a1b94bf",
+    24: "dcc1987b631c6da2c9891543ab992b8c973523d112bffac2db18e523a7c66a09",
+    27: "e79d40ccf0d49c79b26bb2f9d6bd823cf83111a8bbdd0d72d749cf12010af157",
+    31: "2faed94c2069f1d804a2cc894d9df3f118e5bd2b0f52ba498dac05ca6b23887c",
+    36: "dc6fd9845c4f11da7419549bd4d4730ae1fc39ce4e9d2e5869bb083caf8e3561",
+    41: "dd611000d7acd7aecd026d96be6e9404381750bce38415168291bd3999b01fd6",
+    46: "542f730063a939a52e121a619ea153f9414c0eb39b7084c7c6ce8d53e6899d2b",
+    53: "2a673e223fc90230d1fbca4f8c04bb60296a01459d11d02720cb79a59afe0bd9",
+    60: "92e38330a245f4d7ea70582bcc3f56f853294380a565b6c465d2b88d7f57bcca",
 }
 
 

@@ -39,7 +39,7 @@ _PINNED_OUTPUTS = [
     ("ppoly --k 8 --m 3 --format csv", "183448dd9d1cb9290e0803824647c9bfee5f1733f10fd5a139614fd6eb33ee13"),
     ("verify --suite exactnum --max-k 3 --format csv", "b196241f242954cacca20c106ec3454ce90b4fffeba699a083f0003f82df916c"),
     # every check capped, at the smallest cap where each one still compares something
-    ("verify --max-k 2", "f124232ee0d196f4beb3d2e0ff3d73055393e4ed514bf696689735276e2c8640"),
+    ("verify --max-k 2", "d5baa8c60f63cbe557017d3fb8b70ce4aee74de317c9310f0de21d259501b47a"),
     # benchmark scale: orders up to 128 at N near 10^7, as in perfbench's exact-scan
     ("corr --k 118 --N 9876543 --n 3950617 --format json --precision 80", "40a42ce7267569b7fe1b1ff199a37a5f0163661262341772a3bf7b0b10c41ffe"),
     ("scan --k 128 --f 37/97 --grid-geom 1234567:3/2:6 --format json --precision 12", "3b2c3da90fc9d1df2b62e73ff56b4712fefdc89325284527fa1f72429e4b7f28"),
@@ -77,8 +77,8 @@ def test_scan_with_no_interior_design_writes_no_bytes(tmp_path, capsys):
 
 # sha256 of ``python -m srscorr verify`` stdout: every registry check at its full range.
 _VERIFY_DIGESTS = {
-    "json": "8c773f8f78211012f3be9a4aafa76ad572e64e8e3307bb05e5b067f40cc104af",
-    "csv": "ab099847df192d6a200b3fed7d258a4563e16a60e8c6a0f3f670901b4c3045c8",
+    "json": "5801117eeb26ad54d7bc401d4ca632e5ca7339cd6ee6c843f36d5a68b1dafc16",
+    "csv": "2efc2f52e439e0e2a5def80f05dbba8fdf91061975b1d981a7397ef31df5dad4",
 }
 
 

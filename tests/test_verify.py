@@ -19,7 +19,7 @@ def test_registry_check(identity, check_result):
 
 def test_registry_is_grouped_by_suite_with_unique_identities():
     assert SUITE_NAMES == ("exactnum", "ppoly", "correlation", "oracle")
-    assert len({check.identity for check in CHECKS}) == len(CHECKS) == 34
+    assert len({check.identity for check in CHECKS}) == len(CHECKS) == 35
     assert [check.suite for check in CHECKS] == sorted((c.suite for c in CHECKS), key=SUITE_NAMES.index)
 
 
@@ -46,6 +46,7 @@ def test_a_check_that_compares_nothing_fails(capsys):
         "pair-closed-form",
         "coefficient-sum-identity",
         "alpha-top-column-is-limit",
+        "alpha-degree-bound",
         "per-coefficient-convergence",
         "scaled-sequence-boundedness",
         "unit-set-exchangeability",
