@@ -8,12 +8,15 @@ ambiguous prefix, a flag with no value or followed by another flag, a stray
 token, a malformed integer or rational literal or a value outside a flag's
 choices, a missing required flag, ``scan`` with both or neither of
 ``--grid`` and ``--grid-geom``, a ``--grid`` of more than 1000 sizes, or a
-``--grid-geom`` factor not above 1 or COUNT outside 1..1000); 2 computation
-error (a domain or budget violation, e.g. n > N, f outside (0,1), the
-enumeration or result-digit budget exceeded), a stdout whose reader has
-closed it, or an ``--out`` file that cannot be written (stdout has the
-output by then); 3 verification failure (``verify`` ran and a check failed
-or compared nothing).
+``--grid-geom`` factor not above 1 or COUNT outside 1..1000; a usage error
+repeats at most 160 characters of a value); 2 computation error (a domain
+violation, e.g. n > N or f outside (0,1), or a cost past its budget: a
+result's digits, ``--precision``, a Monte Carlo run's lane-steps, a ppoly
+level's additions or a whole scan's digits, each refused before the work
+with one ``error: CALLER: WHAT is past the budget of B`` line), a stdout
+whose reader has closed it, or an ``--out`` file that cannot be written
+(stdout has the output by then); 3 verification failure (``verify`` ran and
+a check failed or compared nothing).
 
 Rationals are exact literals ``p/q`` or bare integers: float syntax is
 rejected, so no result silently inherits binary rounding.
@@ -27,8 +30,8 @@ import sys
 import warnings
 from types import SimpleNamespace
 
-from .correlation import convergence_scan, evaluate_correlation, limit_spec
-from .errors import SrsCorrError
+from .correlation import _corr_digits, convergence_scan, evaluate_correlation, limit_spec
+from .errors import SrsCorrError, check_budget
 from .exactnum import parse_rational
 from .oracle import DEFAULT_MC_SEED, monte_carlo_corr
 from .ppoly import PolyRecord, p_poly
@@ -42,6 +45,18 @@ __all__ = ["run", "main"]
 # --k 2 --grid-geom 2:2:1000` takes about 0.35 s, and 10^4 sizes took 11 s and
 # 77 MB of output: the time grows faster than the count.
 _GRID_MAX = 1000
+
+# The most digits a scan may compute and render, checked before its first
+# record: the sum, over the grid, of each record's result size in digits (as
+# ``corr_exact`` bounds it) and --precision for each of its two decimal
+# columns.  On a 2-core host ten records near the result-digit ceiling (`scan
+# --k 11500 --f 1/3` over N = 16000..16009, 969,560 digits) took 6.8 s, and
+# three at `--k 6000` near N = 10^7 took 2.2 s, so 1000 would take 12 min.
+SCAN_DIGIT_BUDGET = 10**6
+
+# The most characters of an argv value, or of the reason it was refused, that
+# a usage error repeats: a refused 1001-size --grid is one short line.
+_CUT_AT = 160
 
 
 def _grid_csv(text: str) -> list[int]:
@@ -84,6 +99,18 @@ def _choice(*options: str):
     return convert
 
 
+def _cut(text: str) -> str:
+    """``text``, cut past _CUT_AT characters."""
+    return text if len(text) <= _CUT_AT else text[:_CUT_AT] + "..."
+
+
+def _scan(ns):
+    grid = ns.grid if ns.grid is not None else ns.grid_geom
+    cost = sum(_corr_digits(ns.k, N) + 2 * max(ns.precision, 0) for N in grid)
+    check_budget("scan", "the digit count of its records", cost, SCAN_DIGIT_BUDGET)
+    return convergence_scan(ns.k, ns.f, grid)
+
+
 def _ppoly(ns) -> list[PolyRecord]:
     poly = p_poly(ns.k, ns.m)
     return [PolyRecord(k=ns.k, m=ns.m, degree=poly.degree, coefficients=poly.coeffs)]
@@ -112,7 +139,7 @@ _VERBS = {
              {"k": _K, "f": (parse_rational, _REQUIRED, "target sampling fraction p/q"),
               "grid": (_grid_csv, _ONE_OF, "population sizes N1,N2,..., ascending (or --grid-geom)"),
               "grid-geom": (_grid_geom, _ONE_OF, "START:FACTOR:COUNT, COUNT sizes from START by FACTOR (or --grid)")},
-             lambda ns: convergence_scan(ns.k, ns.f, ns.grid if ns.grid is not None else ns.grid_geom)),
+             _scan),
     "mc": ("reproducible Monte Carlo estimate",
            {"k": _K, "N": _N, "n": (int, _REQUIRED, "sample size"), "trials": (int, 100_000, "number of trials"),
             "seed": (int, DEFAULT_MC_SEED, "PRNG seed")},
@@ -135,7 +162,7 @@ def _flag(token: str, flags) -> str | None:
     prefix = token[2:] if token.startswith("--") else ""
     names = [name for name in (*flags, "help") if prefix and name.startswith(prefix)]
     if len(names) > 1 and prefix not in names:
-        raise ValueError(f"ambiguous flag {token!r}")
+        raise ValueError(f"ambiguous flag {_cut(repr(token))}")
     return prefix if prefix in names else next(iter(names), None)
 
 
@@ -157,7 +184,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     if verb not in _VERBS:
         if verb.startswith("-") and _flag(verb, ()) == "help":
             return _help(None)
-        raise ValueError(f"expected a verb ({', '.join(_VERBS)}), got {verb!r}")
+        raise ValueError(f"expected a verb ({', '.join(_VERBS)}), got {_cut(repr(verb))}")
     flags, stray, tokens = {**_VERBS[verb][1], **_COMMON}, None, iter(rest)
     values = {flag: spec[1] for flag, spec in flags.items()}
     for token in tokens:
@@ -173,9 +200,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             try:
                 values[flag] = flags[flag][0](value)
             except ValueError as exc:
-                raise ValueError(f"--{flag} {value!r}: {exc}") from None
+                raise ValueError(f"--{flag} {_cut(repr(value))}: {_cut(str(exc))}") from None
     if stray is not None:
-        raise ValueError(f"unrecognized argument {stray!r}")
+        raise ValueError(f"unrecognized argument {_cut(repr(stray))}")
     missing = [f"--{flag}" for flag, value in values.items() if value is _REQUIRED]
     if missing:
         raise ValueError(f"missing {' '.join(missing)}")

@@ -55,8 +55,8 @@ from itertools import repeat
 from math import perm
 from operator import add, mul, sub
 
-from .errors import DomainError, check_design
-from .exactnum import binomial, falling_factorial, normal_moment
+from .errors import DomainError, check_budget, check_design
+from .exactnum import binomial, falling_factorial, int_str, normal_moment, rational_str
 from .ppoly import p0_eval
 
 __all__ = [
@@ -83,13 +83,15 @@ __all__ = [
 RESULT_DIGIT_BUDGET = 10**5
 
 
-def _check_result_size(caller: str, bits: int) -> None:
-    """Raise DomainError when a result below 2^bits may pass ``RESULT_DIGIT_BUDGET`` digits."""
-    digits = bits * 30103 // 100000 + 1  # bits log10(2), rounded up
-    if digits > RESULT_DIGIT_BUDGET:
-        raise DomainError(
-            f"{caller}: the exact result may have about {digits} digits, past the budget of {RESULT_DIGIT_BUDGET}"
-        )
+def _digits(bits: int) -> int:
+    """The most decimal digits of an integer below 2^bits: bits log10(2), rounded up."""
+    return bits * 30103 // 100000 + 1
+
+
+def _corr_digits(k: int, N: int) -> int:
+    """The most decimal digits of the numerator or denominator of ``corr_exact(k, N, n)``,
+    whatever n: both are below 2^(2 k N.bit_length()) (see ``corr_exact``)."""
+    return _digits(2 * k * N.bit_length())
 
 
 def corr_exact(k: int, N: int, n: int) -> Fraction:
@@ -121,7 +123,7 @@ def corr_exact(k: int, N: int, n: int) -> Fraction:
     work.
     """
     check_design("corr_exact", k, N, n)
-    _check_result_size("corr_exact", 2 * k * N.bit_length())
+    check_budget("corr_exact", "the exact result's size in digits", _corr_digits(k, N), RESULT_DIGIT_BUDGET)
     num = head = 1
     for j in range(1, k + 1):
         head = head * ((k - j + 1) * (n - j + 1) * N) // j
@@ -160,8 +162,9 @@ def theorem_limit(k: int, f: Fraction | int) -> Fraction:
         raise DomainError(f"theorem_limit requires k >= 0, got k={k}")
     f = Fraction(f)
     if not 0 < f < 1:
-        raise DomainError(f"theorem_limit requires 0 < f < 1, got f={f}")
-    _check_result_size("theorem_limit", k * f.denominator.bit_length() + (k // 2 + 2) * (k + 1).bit_length())
+        raise DomainError(f"theorem_limit requires 0 < f < 1, got f={rational_str(f)}")
+    bits = k * f.denominator.bit_length() + (k // 2 + 2) * (k + 1).bit_length()
+    check_budget("theorem_limit", "the exact result's size in digits", _digits(bits), RESULT_DIGIT_BUDGET)
     ff = f * (f - 1)
     if k % 2 == 0:
         return ff ** (k // 2) * normal_moment(k)
@@ -363,14 +366,19 @@ def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
         raise DomainError(f"convergence_scan requires k >= 2, got k={k}")
     f = Fraction(f)
     if not 0 < f < 1:
-        raise DomainError(f"convergence_scan requires 0 < f < 1, got f={f}")
+        raise DomainError(f"convergence_scan requires 0 < f < 1, got f={rational_str(f)}")
     grid = [int(N) for N in N_grid]
     if not grid:
         raise DomainError("convergence_scan requires a non-empty grid")
-    if any(N < 2 for N in grid):
-        raise DomainError(f"convergence_scan requires every N >= 2, got {grid}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"convergence_scan requires a strictly ascending grid, got {grid}")
+    # each message names one entry, never the whole grid
+    for N in grid:
+        if N < 2:
+            raise DomainError(f"convergence_scan requires every N >= 2, got N={int_str(N)}")
+    for a, b in zip(grid, grid[1:]):
+        if b <= a:
+            raise DomainError(
+                f"convergence_scan requires a strictly ascending grid, got N={int_str(b)} after {int_str(a)}"
+            )
     exponent, limit = parity_exponent(k), theorem_limit(k, f)
     p, q = f.numerator, f.denominator
     records: list[CorrRecord] = []
@@ -378,13 +386,14 @@ def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
         n = (2 * p * N + q) // (2 * q)  # floor(f N + 1/2)
         if n <= 0 or n >= N:
             warnings.warn(
-                f"convergence_scan: N={N} rounds to boundary sample size n={n}; entry skipped",
+                f"convergence_scan: N={int_str(N)} rounds to boundary sample size n={int_str(n)}; entry skipped",
                 stacklevel=2,
             )
             continue
         records.append(_record(k, N, n, exponent, limit))
     if not records:
         raise DomainError(
-            f"convergence_scan: all {len(grid)} grid entries round to a boundary sample size at f={f}; no record"
+            f"convergence_scan: all {len(grid)} grid entries round to a boundary sample size at f={rational_str(f)}; "
+            "no record"
         )
     return records

@@ -13,8 +13,8 @@ class DomainError(SrsCorrError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class EnumerationBoundError(SrsCorrError):
-    """A brute-force enumeration would exceed the configured subset budget."""
+class EnumerationBoundError(DomainError):
+    """A brute-force enumeration would exceed the subset budget."""
 
 
 def check_design(caller: str, k: int, N: int, n: int) -> None:
@@ -26,3 +26,10 @@ def check_design(caller: str, k: int, N: int, n: int) -> None:
         raise DomainError(f"{caller} requires 0 <= n <= N, got n={n}, N={N}")
     if not 0 <= k <= N:
         raise DomainError(f"{caller} requires 0 <= k <= N, got k={k}, N={N}")
+
+
+def check_budget(caller: str, what: str, cost: int, budget: int, error: type[DomainError] = DomainError) -> None:
+    """Raise ``error``, naming ``caller``, when ``cost`` is past ``budget``: every budget is checked here,
+    before its work.  The message names the budget, never the cost, so it builds for any cost."""
+    if cost > budget:
+        raise error(f"{caller}: {what} is past the budget of {budget}")

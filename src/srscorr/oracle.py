@@ -47,7 +47,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBoundError, check_design
+from .errors import DomainError, EnumerationBoundError, check_budget, check_design
 
 __all__ = [
     "SplitMix64",
@@ -171,6 +171,12 @@ def brute_force_corr(k: int, N: int, n: int, members=None) -> Fraction:
     Refuses to run when C(N, n) exceeds ``ENUMERATION_BUDGET``.
     """
     check_design("brute_force_corr", k, N, n)
+    # C(N, i) for i up to min(n, N - n): it rises until i = N/2, so the first
+    # value past the budget is found without computing C(N, n) in full
+    count = 1
+    for i in range(min(n, N - n)):
+        count = count * (N - i) // (i + 1)
+        check_budget("brute_force_corr", "the subset count C(N, n)", count, ENUMERATION_BUDGET, EnumerationBoundError)
     if members is None:
         members = tuple(range(k))
     else:
@@ -179,11 +185,6 @@ def brute_force_corr(k: int, N: int, n: int, members=None) -> Fraction:
             raise DomainError(f"H has {len(members)} units but k={k}")
     if len(set(members)) != k or any(not 0 <= a < N for a in members):
         raise DomainError(f"H must be k distinct units from 0..{N - 1}, got {members}")
-    count = comb(N, n)
-    if count > ENUMERATION_BUDGET:
-        raise EnumerationBoundError(
-            f"C({N}, {n}) = {count} subsets exceeds the enumeration budget {ENUMERATION_BUDGET}"
-        )
     total = 0
     for sample in itertools.combinations(range(N), n):
         inside = set(sample)
@@ -400,9 +401,7 @@ def monte_carlo_corr(k: int, N: int, n: int, trials: int, seed: int = DEFAULT_MC
     check_design("monte_carlo_corr", k, N, n)
     if N >= 1 << 64:  # the lockstep sampler holds states, bounds and positions in at most 64 bits
         raise DomainError(f"monte_carlo_corr requires N < 2^64, got N={N}")
-    steps = trials * max(n, 1)
-    if steps > MC_STEP_BUDGET:
-        raise DomainError(f"monte_carlo_corr requires trials x max(n, 1) <= {MC_STEP_BUDGET} lane-steps, got {steps}")
+    check_budget("monte_carlo_corr", "the lane-step count trials x max(n, 1)", trials * max(n, 1), MC_STEP_BUDGET)
     hist = _intersection_histogram(k, N, n, trials, seed)
     f = n / N
     values = []

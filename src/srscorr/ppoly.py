@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .exactnum import power_sum_coefficients
 
 __all__ = [
@@ -192,8 +192,7 @@ def p_poly(k: int, m: int) -> Poly:
     """
     if k < 0 or m < 0:
         raise DomainError(f"p_poly requires k, m >= 0, got ({k}, {m})")
-    if m * max(2 * m, k) > PPOLY_BUDGET:
-        raise DomainError(f"p_poly requires m * max(2m, k) <= {PPOLY_BUDGET}, got {m * max(2 * m, k)}")
+    check_budget("p_poly", "the addition count m * max(2m, k)", m * max(2 * m, k), PPOLY_BUDGET)
     poly = _P_CACHE.get((k, m))
     if poly is not None:
         return poly

@@ -2,19 +2,26 @@
 the functions that take a (k, N, n) design, and the argument checks of the
 other entry points."""
 
+import contextlib
+import pkgutil
 import re
+import time
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 import srscorr
+from srscorr import cli, correlation, oracle, ppoly, report
 from srscorr.correlation import (
     alpha_coefficients,
     coefficient_limit,
     corr_exact,
     evaluate_correlation,
     parity_exponent,
+    theorem_limit,
 )
-from srscorr.errors import DomainError
+from srscorr.errors import DomainError, EnumerationBoundError
 from srscorr.exactnum import (
     bernoulli,
     double_factorial_odd,
@@ -25,8 +32,8 @@ from srscorr.exactnum import (
     sum_of_powers,
 )
 from srscorr.oracle import brute_force_corr, hypergeom_inclusion_prob, monte_carlo_corr, trial_stream_seed
-from srscorr.ppoly import Poly
-from srscorr.report import emit_report
+from srscorr.ppoly import Poly, p_poly
+from srscorr.report import decimal_str, emit_report
 from srscorr.verify import run_suite
 
 
@@ -110,3 +117,106 @@ def test_argument_checks_raise_domain_error(case):
     call, message = _ARGUMENT_CHECKS[case]
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
+
+
+# ---------------------------------------------------------------------------
+# budgets
+
+
+def _scan(*argv):
+    """The records of ``srscorr scan ARGV``, before they are rendered."""
+    return cli._VERBS["scan"][2](cli._parse(["scan", *argv]))
+
+
+_NEAR_10_7, _NEAR_10_6 = (",".join(str(N + i) for i in range(1000)) for N in (10**7, 10**6))
+_REFUSAL = "[a-z_]+: .+ is past the budget of {}$"  # caller: what
+
+# "module.NAME" of each public budget -> (its value; (cost, call) pairs, each passing at that budget and refused one
+# below; calls past the budget; the (owner, name) of the work that they must not reach; argvs of a verb past it)
+_BUDGETS = {
+    "correlation.RESULT_DIGIT_BUDGET": (
+        10**5,
+        [(5, lambda: corr_exact(2, 10, 5)), (4, lambda: theorem_limit(2, Fraction(1, 3)))],
+        # limit --k 200000 took 19.7 s before the budget; for N past 4300 digits the estimate reads N.bit_length()
+        [lambda: theorem_limit(200_000, Fraction(1, 3)), lambda: corr_exact(2, 10**60_000, 1),
+         lambda: corr_exact(100_000, 10**7, 4 * 10**6)],
+        [(correlation, "perm"), (correlation, "normal_moment")],
+        [["limit", "--k", "200000", "--f", "1/3"], ["corr", "--k", "100000", "--N", "10000000", "--n", "4000000"]],
+    ),
+    "oracle.ENUMERATION_BUDGET": (
+        10_000_000,
+        [(20, lambda: brute_force_corr(2, 6, 3))],
+        # C(10^7 + 1, 1) is one past; C(26, 13) > 10^7 > C(24, 12); C(10^6, 5 10^5) in full took 11.7 s
+        [lambda: brute_force_corr(1, 10**7 + 1, 1), lambda: brute_force_corr(2, 26, 13),
+         lambda: brute_force_corr(2, 10**6, 5 * 10**5)],
+        [(oracle.itertools, "combinations")],
+        [],
+    ),
+    "oracle.MC_STEP_BUDGET": (
+        2**32,  # trials x max(n, 1): each batch seeds its states even when n = 0
+        [(100, lambda: monte_carlo_corr(2, 10, 5, trials=20)), (100, lambda: monte_carlo_corr(2, 10, 0, trials=100))],
+        [lambda: monte_carlo_corr(3, 100, 50, trials=10**11), lambda: monte_carlo_corr(2, 10, 0, trials=2**32 + 1)],
+        [(oracle, "_intersection_histogram")],
+        [["mc", "--k", "3", "--N", "100", "--n", "50", "--trials", "100000000000"]],
+    ),
+    "ppoly.PPOLY_BUDGET": (
+        200_000,  # m * max(2m, k) additions build the value rows
+        [(200_000, lambda: p_poly(2000, 100))],
+        [lambda: p_poly(200_001, 1), lambda: p_poly(2, 317), lambda: p_poly(2001, 100)],
+        [(ppoly, "_p_step")],
+        [["ppoly", "--k", "2", "--m", "2000"]],
+    ),
+    "report.PRECISION_BUDGET": (
+        10**5,  # rendering time grows with the square of the digits, so 10^8 would run for days
+        [(10**5, lambda: decimal_str(Fraction(1, 3), 10**5)), (12, lambda: emit_report([_CORR_ROW], "csv", 12))],
+        [lambda: decimal_str(Fraction(1, 3), 10**5 + 1), lambda: emit_report([_CORR_ROW], "json", 10**8)],
+        [(report, "int_str"), (report, "row_to_obj")],
+        [["corr", "--k", "3", "--N", "10", "--n", "5", "--precision", "100000000"]],
+    ),
+    "cli.SCAN_DIGIT_BUDGET": (
+        10**6,
+        [  # 5 + 7 result digits and four 12-digit decimal columns; 5 digits and two of 30
+            (60, lambda: _scan("--k", "2", "--f", "1/2", "--grid", "10,20")),
+            (65, lambda: _scan("--k", "2", "--f", "1/2", "--grid", "10", "--precision", "30")),
+        ],
+        [],
+        [(correlation, "corr_exact")],
+        [  # about 14 and 8 minutes of scanning
+            ["scan", "--k", "6000", "--f", "1/3", "--grid", _NEAR_10_7],
+            ["scan", "--k", "2", "--f", "1/3", "--grid", _NEAR_10_6, "--precision", "100000"],
+        ],
+    ),
+}
+
+
+def test_every_public_budget_has_a_row():
+    modules = [info.name for info in pkgutil.iter_modules(srscorr.__path__) if info.name != "__main__"]
+    names = {f"{m}.{name}" for m in modules for name in vars(getattr(srscorr, m))}
+    assert {name for name in names if name.endswith("_BUDGET") and "._" not in name} == set(_BUDGETS)
+    assert issubclass(EnumerationBoundError, DomainError)  # so every budget refusal is a DomainError
+
+
+@pytest.mark.parametrize("name", sorted(_BUDGETS))
+def test_each_budget_admits_its_ceiling_and_refuses_past_it_up_front(name, capsys):
+    value, ceilings, past, work, argvs = _BUDGETS[name]
+    module, constant = getattr(srscorr, name.split(".")[0]), name.split(".")[1]
+    assert getattr(module, constant) == value
+    error = EnumerationBoundError if constant == "ENUMERATION_BUDGET" else DomainError
+    for cost, call in ceilings:
+        with mock.patch.object(module, constant, cost):
+            call()
+        with mock.patch.object(module, constant, cost - 1), pytest.raises(error, match=_REFUSAL.format(cost - 1)):
+            call()
+    with contextlib.ExitStack() as stack:
+        for owner, attr in work:
+            stack.enter_context(mock.patch.object(owner, attr, side_effect=AssertionError(f"reached {attr}")))
+        for call in past:
+            start = time.perf_counter()
+            with pytest.raises(error, match=f"^{_REFUSAL.format(value)}"):
+                call()
+            assert time.perf_counter() - start < 0.5
+        for argv in argvs:
+            start = time.perf_counter()
+            assert cli.run(argv) == 2 and time.perf_counter() - start < 0.5
+            out, err = capsys.readouterr()
+            assert out == "" and re.fullmatch(f"error: {_REFUSAL.format(value)}\n", err)
