@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = ["SrsCorrError", "DomainError", "EnumerationBoundError"]
+from decimal import Decimal
+
+__all__ = ["SrsCorrError", "DomainError", "EnumerationBoundError", "int_str"]
 
 
 class SrsCorrError(Exception):
@@ -17,15 +19,26 @@ class EnumerationBoundError(DomainError):
     """A brute-force enumeration would exceed the subset budget."""
 
 
+def int_str(value: int) -> str:
+    """Decimal digits of an int of any length.  ``str(int)`` and ``int(str)``
+    refuse more digits than the interpreter's process-wide limit (4300 by
+    default), which this package leaves unchanged; ``Decimal`` converts
+    exactly at any length, both ways, but renders more slowly below it."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 def check_design(caller: str, k: int, N: int, n: int) -> None:
     """Raise DomainError, naming ``caller``, unless N >= 1, 0 <= n <= N and
     0 <= k <= N."""
     if N < 1:
-        raise DomainError(f"{caller} requires N >= 1, got N={N}")
+        raise DomainError(f"{caller} requires N >= 1, got N={int_str(N)}")
     if not 0 <= n <= N:
-        raise DomainError(f"{caller} requires 0 <= n <= N, got n={n}, N={N}")
+        raise DomainError(f"{caller} requires 0 <= n <= N, got n={int_str(n)}, N={int_str(N)}")
     if not 0 <= k <= N:
-        raise DomainError(f"{caller} requires 0 <= k <= N, got k={k}, N={N}")
+        raise DomainError(f"{caller} requires 0 <= k <= N, got k={int_str(k)}, N={int_str(N)}")
 
 
 def check_budget(caller: str, what: str, cost: int, budget: int, error: type[DomainError] = DomainError) -> None:

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import repeat
 from operator import add, mul
 
-from .errors import DomainError
+from .errors import DomainError, int_str
 
 __all__ = [
     "binomial",
@@ -65,17 +65,6 @@ def rational_str(value: Fraction | int) -> str:
     q = value if isinstance(value, (Fraction, int)) else Fraction(value)
     num = int_str(q.numerator)
     return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
-
-
-def int_str(value: int) -> str:
-    """Decimal digits of an int of any length.  ``str(int)`` and ``int(str)``
-    refuse more digits than the interpreter's process-wide limit (4300 by
-    default), which this package leaves unchanged; ``Decimal`` converts
-    exactly at any length, both ways, but renders more slowly below it."""
-    try:
-        return str(value)
-    except ValueError:
-        return str(Decimal(value))
 
 
 def kronecker_delta(n: int) -> int:

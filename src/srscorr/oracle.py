@@ -28,10 +28,13 @@ platforms.  Its memory is O(k) per lane whatever N is, and it requires
 N < 2^64.  Where lanes are few and N <= 2^32, the lockstep replay mixes the
 candidate outputs of a block of Fisher-Yates steps in one NumPy call and cuts
 the block at the first step in which any lane's output would be rejected, so
-blocking, too, leaves every draw unchanged.  Where a step expects few partner
-hits on the k tracked labels (8 lanes k < N - i), the tracker then applies only
-the block's steps that move a tracked label; the skipped steps are still drawn,
-so every draw is unchanged here as well.  The mean is the exactly-rounded
+blocking, too, leaves every draw unchanged.  A block from step i whose
+largest output is at most 2^64 - 1 - (N - i), which is below every limit in
+it, is accepted by that one comparison.  Partners are narrowed to the
+position type before the step is added.  Where a step expects few partner
+hits on the k tracked labels (8 lanes k < N - i), the tracker then applies
+only the block's steps that move a tracked label; the skipped steps are still
+drawn, so every draw is unchanged here as well.  The mean is the exactly-rounded
 sum (``math.fsum``) of the per-trial products divided by the trial count; the
 reported stderr is the Bessel-corrected sample standard deviation divided by
 sqrt(trials).
@@ -47,7 +50,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBoundError, check_budget, check_design
+from .errors import DomainError, EnumerationBoundError, check_budget, check_design, int_str
 
 __all__ = [
     "SplitMix64",
@@ -115,7 +118,7 @@ class SplitMix64:
     def next_below(self, bound: int) -> int:
         """Unbiased uniform draw from {0, ..., bound-1} by rejection."""
         if not 1 <= bound <= 1 << 64:
-            raise DomainError(f"next_below requires 1 <= bound <= 2^64, got {bound}")
+            raise DomainError(f"next_below requires 1 <= bound <= 2^64, got {int_str(bound)}")
         threshold = (1 << 64) - ((1 << 64) % bound)
         while True:
             z = self.next_uint64()
@@ -128,7 +131,7 @@ def trial_stream_seed(seed: int, t: int) -> int:
     output of a SplitMix64 seeded with ``seed``.  (Chunk size is one, so the
     chunk index is the trial index.)"""
     if t < 0:
-        raise DomainError(f"trial index must be >= 0, got {t}")
+        raise DomainError(f"trial index must be >= 0, got {int_str(t)}")
     return _mix64((seed + (t + 1) * _GOLDEN) & _MASK64)
 
 
@@ -142,7 +145,7 @@ def sample_srs(N: int, n: int, rng: SplitMix64) -> tuple[int, ...]:
     stored, so memory is O(n) whatever N is.
     """
     if N < 0 or not 0 <= n <= N:
-        raise DomainError(f"sample_srs requires 0 <= n <= N, got n={n}, N={N}")
+        raise DomainError(f"sample_srs requires 0 <= n <= N, got n={int_str(n)}, N={int_str(N)}")
     moved: dict[int, int] = {}  # position -> the label now there, where not its own
     members = []
     for i in range(n):
@@ -315,8 +318,15 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
     accepted output, ``_MASK64 - 2^64 mod bound``, that ``_draw_below`` also
     reads; the block is cut there, ``states`` advances past the accepted steps
     only, and that step goes through ``_draw_below``'s redraw loop as a
-    one-row block.  All draws of a call mix in the same two scratch arrays,
-    so no step allocates a lane-sized temporary.
+    one-row block.  Every row's largest accepted output is above
+    ``_MASK64 - (N - i)``, since 2^64 mod b <= b - 1 < N - i for each of the
+    block's bounds b, so a block whose largest output is at most that value
+    is accepted whole by one ``max``, and only a block past it builds the
+    per-row limits.  All draws of a call mix in the same two scratch arrays,
+    so no step allocates a lane-sized uint64 temporary.  Each reduced draw
+    is below its bound N - (i + r), so it is narrowed to ``width`` first and
+    the step i + r added there: the sum is at most N - 1, which ``width``
+    holds.
     """
     rows_cap = max(1, min(n, _MAX_LANES // states.size)) if N <= _BLOCK_MAX_N else 1
     ahead = np.arange(1, rows_cap + 1, dtype=np.uint64)[:, np.newaxis] * np.uint64(_GOLDEN)  # wraps mod 2^64
@@ -328,21 +338,24 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
         if rows > 1:
             z = _mix64_vec(np.add(states, ahead[:rows], out=z_rows[:rows]), tmp_rows[:rows])
             bounds = range(N - i, N - i - rows, -1)
-            limits = np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64)
-            cut = np.flatnonzero((z > limits[:, np.newaxis]).any(axis=1))
-            ok = int(cut[0]) if cut.size else rows
+            ok = rows
+            if z.max() > _MASK64 - (N - i):  # otherwise every row accepts every lane's output
+                limits = np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64)
+                cut = np.flatnonzero((z > limits[:, np.newaxis]).any(axis=1))
+                ok = int(cut[0]) if cut.size else rows
             states += np.uint64(ok * _GOLDEN & _MASK64)
             if ok:
                 z = z[:ok]
                 z %= np.array(bounds[:ok], dtype=np.uint64)[:, np.newaxis]
-                z += np.arange(i, i + ok, dtype=np.uint64)[:, np.newaxis]
-                yield i, z.astype(width)
+                block = z.astype(width)
+                block += np.arange(i, i + ok, dtype=width)[:, np.newaxis]
+                yield i, block
                 i += ok
             if ok == rows:
                 continue
-        j = _draw_below(states, N - i, z_row, tmp_row)
-        j += np.uint64(i)
-        yield i, j[np.newaxis].astype(width)
+        row = _draw_below(states, N - i, z_row, tmp_row).astype(width)
+        row += width.type(i)
+        yield i, row[np.newaxis]
         i += 1
 
 
@@ -353,11 +366,11 @@ def _draw_below(states, bound: int, z, tmp):
     output, ``_MASK64 - 2^64 mod bound`` (which fits in uint64 for every
     bound), and returns the accepted draws reduced below ``bound``
     (1 <= bound < 2^64).  ``z`` and ``tmp`` are the caller's uint64 scratch
-    arrays shaped like ``states``; the draws are returned in ``z``."""
+    arrays shaped like ``states``: the outputs are mixed from ``states``
+    straight into ``z``, which also returns the draws."""
     golden = np.uint64(_GOLDEN)
     states += golden
-    z[...] = states
-    _mix64_vec(z, tmp)
+    _mix64_vec(states, tmp, out=z)
     limit = _MASK64 - (1 << 64) % bound
     if z.max() > limit:  # otherwise every draw is accepted
         reject = z > limit
@@ -373,11 +386,12 @@ def _draw_below(states, bound: int, z, tmp):
     return z
 
 
-def _mix64_vec(z, tmp=None):
-    """``_mix64`` applied in place to a uint64 array; returns the array.
-    ``tmp``, a uint64 array shaped like ``z``, is optional scratch."""
+def _mix64_vec(z, tmp=None, out=None):
+    """``_mix64`` applied to a uint64 array, in place or, given ``out``,
+    into ``out`` with ``z`` left as it was; returns the mixed array.  ``tmp``
+    and ``out``, uint64 arrays shaped like ``z``, are optional scratch."""
     tmp = np.right_shift(z, np.uint64(30), out=tmp)  # allocated here when no scratch is given
-    z ^= tmp
+    z = np.bitwise_xor(z, tmp, out=z if out is None else out)  # the first xor writes the result array
     z *= np.uint64(_MIX1)
     z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= np.uint64(_MIX2)
@@ -397,10 +411,10 @@ def monte_carlo_corr(k: int, N: int, n: int, trials: int, seed: int = DEFAULT_MC
     across runs, platforms, and batch sizes.
     """
     if trials < 1:
-        raise DomainError(f"monte_carlo_corr requires trials >= 1, got {trials}")
+        raise DomainError(f"monte_carlo_corr requires trials >= 1, got {int_str(trials)}")
     check_design("monte_carlo_corr", k, N, n)
     if N >= 1 << 64:  # the lockstep sampler holds states, bounds and positions in at most 64 bits
-        raise DomainError(f"monte_carlo_corr requires N < 2^64, got N={N}")
+        raise DomainError(f"monte_carlo_corr requires N < 2^64, got N={int_str(N)}")
     check_budget("monte_carlo_corr", "the lane-step count trials x max(n, 1)", trials * max(n, 1), MC_STEP_BUDGET)
     hist = _intersection_histogram(k, N, n, trials, seed)
     f = n / N

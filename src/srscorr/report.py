@@ -48,7 +48,7 @@ def decimal_str(value: Fraction | int, digits: int) -> str:
     """Fixed-point decimal string of an exact rational, rounded half-to-even
     at ``digits`` fractional digits, computed in integer arithmetic."""
     if digits < 1:
-        raise DomainError(f"decimal rendering requires 1 <= digits <= {PRECISION_BUDGET}, got {digits}")
+        raise DomainError(f"decimal rendering requires 1 <= digits <= {PRECISION_BUDGET}, got {int_str(digits)}")
     check_budget("decimal_str", "the digit count", digits, PRECISION_BUDGET)
     if not isinstance(value, (Fraction, int)):
         value = Fraction(value)
@@ -161,7 +161,7 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
     if format not in ("json", "csv"):
         raise DomainError(f"unknown report format: {format!r}")
     if precision < 1:
-        raise DomainError(f"emit_report requires precision >= 1 and <= {PRECISION_BUDGET}, got {precision}")
+        raise DomainError(f"emit_report requires precision >= 1 and <= {PRECISION_BUDGET}, got {int_str(precision)}")
     check_budget("emit_report", "the precision", precision, PRECISION_BUDGET)
     objs = [row_to_obj(row, precision) for row in rows]
     keys = list(objs[0].keys()) if objs else list(columns or ())

@@ -21,7 +21,7 @@ from srscorr.correlation import (
     parity_exponent,
     theorem_limit,
 )
-from srscorr.errors import DomainError, EnumerationBoundError
+from srscorr.errors import DomainError, EnumerationBoundError, int_str
 from srscorr.exactnum import (
     bernoulli,
     double_factorial_odd,
@@ -31,7 +31,14 @@ from srscorr.exactnum import (
     stirling_second,
     sum_of_powers,
 )
-from srscorr.oracle import brute_force_corr, hypergeom_inclusion_prob, monte_carlo_corr, trial_stream_seed
+from srscorr.oracle import (
+    SplitMix64,
+    brute_force_corr,
+    hypergeom_inclusion_prob,
+    monte_carlo_corr,
+    sample_srs,
+    trial_stream_seed,
+)
 from srscorr.ppoly import Poly, p_poly
 from srscorr.report import decimal_str, emit_report
 from srscorr.verify import run_suite
@@ -117,6 +124,54 @@ def test_argument_checks_raise_domain_error(case):
     call, message = _ARGUMENT_CHECKS[case]
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
+
+
+_BIG = 10**5000  # past the interpreter's 4300-digit int-to-str limit
+
+# call as written -> (the call, its whole DomainError message)
+_BIG_INT_CHECKS = {
+    "corr_exact(2, 10**5000, 10**5000 + 1)": (
+        lambda: corr_exact(2, _BIG, _BIG + 1),
+        f"corr_exact requires 0 <= n <= N, got n={int_str(_BIG + 1)}, N={int_str(_BIG)}",
+    ),
+    "sample_srs(10**5000, 10**5000 + 1, SplitMix64(1))": (
+        lambda: sample_srs(_BIG, _BIG + 1, SplitMix64(1)),
+        f"sample_srs requires 0 <= n <= N, got n={int_str(_BIG + 1)}, N={int_str(_BIG)}",
+    ),
+    "SplitMix64(1).next_below(2**70000)": (
+        lambda: SplitMix64(1).next_below(2**70000),
+        f"next_below requires 1 <= bound <= 2^64, got {int_str(2**70000)}",
+    ),
+    "monte_carlo_corr(2, 10**5000, 3, 10)": (
+        lambda: monte_carlo_corr(2, _BIG, 3, 10),
+        f"monte_carlo_corr requires N < 2^64, got N={int_str(_BIG)}",
+    ),
+    "monte_carlo_corr(2, 10, 3, -10**5000)": (
+        lambda: monte_carlo_corr(2, 10, 3, -_BIG),
+        f"monte_carlo_corr requires trials >= 1, got {int_str(-_BIG)}",
+    ),
+    "trial_stream_seed(0, -10**5000)": (
+        lambda: trial_stream_seed(0, -_BIG),
+        f"trial index must be >= 0, got {int_str(-_BIG)}",
+    ),
+    "decimal_str(1, -10**5000)": (
+        lambda: decimal_str(1, -_BIG),
+        f"decimal rendering requires 1 <= digits <= 100000, got {int_str(-_BIG)}",
+    ),
+    "emit_report precision=-10**5000": (
+        lambda: emit_report([_CORR_ROW], "json", precision=-_BIG),
+        f"emit_report requires precision >= 1 and <= 100000, got {int_str(-_BIG)}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BIG_INT_CHECKS))
+def test_messages_repeat_ints_past_the_str_digit_limit(case):
+    # str() of such an int raises a bare ValueError, so the check must not use it
+    call, message = _BIG_INT_CHECKS[case]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message and "\n" not in message
 
 
 # ---------------------------------------------------------------------------
