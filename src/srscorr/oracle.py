@@ -26,15 +26,15 @@ output of a SplitMix64 seeded with the user seed.  Results are therefore
 independent of batching/worker layout and bit-identical across runs and
 platforms.  Its memory is O(k) per lane whatever N is, and it requires
 N < 2^64.  Where lanes are few and N <= 2^32, the lockstep replay mixes the
-candidate outputs of a block of Fisher-Yates steps in one NumPy call and cuts
-the block at the first step in which any lane's output would be rejected, so
-blocking, too, leaves every draw unchanged.  A block from step i whose
-largest output is at most 2^64 - 1 - (N - i), which is below every limit in
-it, is accepted by that one comparison.  Partners are narrowed to the
-position type before the step is added.  Where a step expects few partner
-hits on the k tracked labels (8 lanes k < N - i), the tracker then applies
-only the block's steps that move a tracked label; the skipped steps are still
-drawn, so every draw is unchanged here as well.  The mean is the exactly-rounded
+candidate outputs of a block of Fisher-Yates steps from step i in one NumPy
+call.  Every limit in the block is above 2^64 - 1 - (N - i), so a block whose
+outputs are all at most that value is accepted whole; otherwise it is cut at
+the first step with an output above it, and that step is drawn alone with its
+own limit, so blocking, too, leaves every draw unchanged.  Partners are
+narrowed to the position type before the step is added.  Where a step
+expects few partner hits on the k tracked labels (8 lanes k < N - i), the
+tracker then applies only the block's steps that move a tracked label; the
+skipped steps are still drawn, so every draw is unchanged here as well.  The mean is the exactly-rounded
 sum (``math.fsum``) of the per-trial products divided by the trial count; the
 reported stderr is the Bessel-corrected sample standard deviation divided by
 sqrt(trials).
@@ -87,10 +87,11 @@ MC_STEP_BUDGET = 1 << 32
 # peaks near 1.44 MB traced.  _MAX_LANES also caps the draws (steps x lanes)
 # of one NumPy block, so few lanes still make large calls and a block's two
 # uint64 scratch arrays are no larger than a full batch's rows.
-# A draw below b is rejected with chance under b / 2^64, so a full block is cut
-# with chance under N / 2^49 and blocks stay nearly whole up to N ~ 2^49; they
-# collapse only near 2^63.  Blocks are used only up to 2^32, a conservative
-# bound that keeps the one-step cost for larger N.
+# A block from step i is cut where an output is above 2^64 - 1 - (N - i), with
+# chance under N / 2^64 per draw, so a full block is cut with chance under
+# N / 2^49 and blocks stay nearly whole up to N ~ 2^49; they collapse only
+# near 2^63.  Blocks are used only up to 2^32, a conservative bound that
+# keeps the one-step cost for larger N.
 _MAX_LANES = 32768
 _TRACKER_BUDGET = 1 << 20
 _BLOCK_MAX_N = 1 << 32
@@ -311,22 +312,22 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
     every lane's step-(i + r) swap partner, for i + r = 0..n-1, advancing
     ``states`` in place.
 
-    Where lanes are few (and N <= ``_BLOCK_MAX_N``), one block mixes the
-    candidate outputs of up to ``_MAX_LANES // lanes`` steps at once.  A
-    step's candidate is the lane's next raw output, so the block is exact up
-    to the first step in which some lane's output exceeds the largest
-    accepted output, ``_MASK64 - 2^64 mod bound``, that ``_draw_below`` also
-    reads; the block is cut there, ``states`` advances past the accepted steps
-    only, and that step goes through ``_draw_below``'s redraw loop as a
-    one-row block.  Every row's largest accepted output is above
-    ``_MASK64 - (N - i)``, since 2^64 mod b <= b - 1 < N - i for each of the
-    block's bounds b, so a block whose largest output is at most that value
-    is accepted whole by one ``max``, and only a block past it builds the
-    per-row limits.  All draws of a call mix in the same two scratch arrays,
-    so no step allocates a lane-sized uint64 temporary.  Each reduced draw
-    is below its bound N - (i + r), so it is narrowed to ``width`` first and
-    the step i + r added there: the sum is at most N - 1, which ``width``
-    holds.
+    Where lanes are few (and N <= ``_BLOCK_MAX_N``), one block from step i
+    mixes the candidate outputs of up to ``_MAX_LANES // lanes`` steps at
+    once; a step's candidate is the lane's next raw output.  Each row's
+    largest accepted output, ``_MASK64 - 2^64 mod b`` for its bound b, is
+    above ``_MASK64 - (N - i)``, since 2^64 mod b <= b - 1 < N - i.  So a
+    block whose largest output is at most that value is accepted whole by
+    one ``max``; otherwise it is cut at the first step holding an output
+    above it, ``states`` advances past the steps before it only, and that
+    step goes through ``_draw_below``, which reads its exact limit from the
+    same states, as a one-row block.  Blocking therefore changes no draw.
+    All draws of a call mix in the same two uint64 scratch arrays, reused
+    from step to step.  Each reduced draw is below its bound N - (i + r), so
+    it is narrowed to ``width`` first and the step i + r added there: the
+    sum is at most N - 1, which ``width`` holds.  Apart from the redraws of
+    rejected lanes, that narrowed array is the one lane-sized array a step
+    allocates.
     """
     rows_cap = max(1, min(n, _MAX_LANES // states.size)) if N <= _BLOCK_MAX_N else 1
     ahead = np.arange(1, rows_cap + 1, dtype=np.uint64)[:, np.newaxis] * np.uint64(_GOLDEN)  # wraps mod 2^64
@@ -337,16 +338,12 @@ def _fisher_yates_blocks(states, N: int, n: int, width):
         rows = min(rows_cap, n - i)
         if rows > 1:
             z = _mix64_vec(np.add(states, ahead[:rows], out=z_rows[:rows]), tmp_rows[:rows])
-            bounds = range(N - i, N - i - rows, -1)
-            ok = rows
-            if z.max() > _MASK64 - (N - i):  # otherwise every row accepts every lane's output
-                limits = np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64)
-                cut = np.flatnonzero((z > limits[:, np.newaxis]).any(axis=1))
-                ok = int(cut[0]) if cut.size else rows
+            safe = _MASK64 - (N - i)  # every row accepts any output up to here
+            ok = int(np.flatnonzero((z > safe).any(axis=1))[0]) if z.max() > safe else rows
             states += np.uint64(ok * _GOLDEN & _MASK64)
             if ok:
                 z = z[:ok]
-                z %= np.array(bounds[:ok], dtype=np.uint64)[:, np.newaxis]
+                z %= np.array(range(N - i, N - i - ok, -1), dtype=np.uint64)[:, np.newaxis]
                 block = z.astype(width)
                 block += np.arange(i, i + ok, dtype=width)[:, np.newaxis]
                 yield i, block

@@ -285,28 +285,26 @@ def test_monte_carlo_agrees_with_scalar_replay(design):
     assert est.mean == mean
 
 
-_ROW_LIMIT = oracle._MASK64 - 2**64 % 995  # the largest output accepted below the bound 995
-_TIGHT_N = 274177  # divides 2^64 + 1, so 2^64 mod N = N - 1: the limit at bound N is the one-max bound + 1
+_TIGHT_N = 274177  # divides 2^64 + 1, so 2^64 mod N = N - 1: the limit at bound N is _MASK64 - N + 1
 
 
 @pytest.mark.parametrize(
-    "N, step, output, sizes",
+    "N, step, output, sizes, redraws",
     [
-        (1000, 5, oracle._MASK64 - 1000 + 1, [12]),  # past the block's one-max bound, within every row's limit
-        (1000, 5, _ROW_LIMIT, [12]),  # step 5's own limit (bound 995): accepted
-        (1000, 5, _ROW_LIMIT + 1, [5, 1, 6]),  # one past it: the block is cut at step 5, which redraws alone
-        (_TIGHT_N, 0, oracle._MASK64 - _TIGHT_N + 1, [12]),  # step 0's own limit, the one-max bound + 1
-        (_TIGHT_N, 0, oracle._MASK64 - _TIGHT_N + 2, [1, 11]),  # one past it: cut at step 0
+        (1000, 5, oracle._MASK64 - 1000, [12], 0),  # at the block's one-max bound: accepted whole
+        (1000, 5, oracle._MASK64 - 1000 + 1, [5, 1, 6], 0),  # one past it: cut at step 5, whose own draw accepts it
+        (_TIGHT_N, 0, oracle._MASK64 - _TIGHT_N + 1, [1, 11], 0),  # step 0's own limit: cut there and accepted
+        (_TIGHT_N, 0, oracle._MASK64 - _TIGHT_N + 2, [1, 11], 1),  # one past that limit: cut there and redrawn
     ],
-    ids=["one-max-bound-plus-1", "row-limit", "row-limit-plus-1", "tight-row-limit", "tight-row-limit-plus-1"],
+    ids=["one-max-bound", "one-max-bound-plus-1", "tight-row-limit", "tight-row-limit-plus-1"],
 )
-def test_block_acceptance_at_its_edges(N, step, output, sizes):
+def test_block_acceptance_at_its_edges(N, step, output, sizes, redraws):
     # lane 2's raw output at ``step`` of a 12-step block from step 0 is set to
-    # ``output``, which is past the one-max bound _MASK64 - N; the partners,
+    # ``output``, at or just past the one-max bound _MASK64 - N; the partners,
     # block sizes and final states must reproduce the scalar replay
-    # i + next_below(N - i) of each lane's stream
+    # i + next_below(N - i) of each lane's stream, and lane 2 redraws only
+    # when ``output`` is past its step's own limit
     n = 12
-    assert output > oracle._MASK64 - N
     seeds = [trial_stream_seed(17, t) for t in range(4)]
     seeds[2] = (_unmix64(output) - (step + 1) * oracle._GOLDEN) % 2**64
     rng = SplitMix64(seeds[2])
@@ -318,6 +316,7 @@ def test_block_acceptance_at_its_edges(N, step, output, sizes):
     assert [row for block in blocks for row in block] == replay
     assert [len(block) for block in blocks] == sizes
     assert states.tolist() == [rng.state for rng in rngs]
+    assert (rngs[2].state - seeds[2]) % 2**64 == (n + redraws) * oracle._GOLDEN % 2**64
 
 
 def _scalar_histogram(k, N, n, trials, seed):
