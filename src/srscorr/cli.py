@@ -12,8 +12,9 @@ choices, a missing required flag, ``scan`` with both or neither of
 repeats at most 160 characters of a value); 2 computation error (a domain
 violation, e.g. n > N or f outside (0,1), or a cost past its budget: a
 result's digits, ``--precision``, a Monte Carlo run's lane-steps, a ppoly
-level's additions or a whole scan's digits, each refused before the work
-with one ``error: CALLER: WHAT is past the budget of B`` line), a stdout
+level's additions, the limb products that build a ``--grid-geom`` or a
+whole scan's digits, each refused before the work with one
+``error: CALLER: WHAT is past the budget of B`` line), a stdout
 whose reader has closed it, or an ``--out`` file that cannot be written
 (stdout has the output by then); 3 verification failure (``verify`` ran and
 a check failed or compared nothing).
@@ -54,6 +55,10 @@ _GRID_MAX = 1000
 # three at `--k 6000` near N = 10^7 took 2.2 s, so 1000 would take 12 min.
 SCAN_DIGIT_BUDGET = 10**6
 
+# The most limb products (30-bit digits) that building a --grid-geom may take, as ``_geom_cost`` estimates them:
+# 0.3-1.6 ns each on a 2-core host.  `2:(10^200+1)/10^100:1000` took 70 s before this budget.
+GRID_GEOM_BUDGET = 10**9
+
 # The most characters of an argv value, or of the reason it was refused, that
 # a usage error repeats: a refused 1001-size --grid is one short line.
 _CUT_AT = 160
@@ -66,8 +71,8 @@ def _grid_csv(text: str) -> list[int]:
     return [int(tok) for tok in sizes]
 
 
-def _grid_geom(text: str) -> list[int]:
-    """The sizes floor(start (p/q)^i + 1/2), i < count, in integers, with rounding collisions dropped."""
+def _grid_geom(text: str) -> tuple[int, int, int, int]:
+    """``(start, p, q, count)`` of START:FACTOR:COUNT with factor p/q, checked; ``_geom_sizes`` builds the sizes."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("expected start:factor:count")
@@ -80,7 +85,22 @@ def _grid_geom(text: str) -> list[int]:
         raise ValueError("count must be >= 1")
     if count > _GRID_MAX:
         raise ValueError(f"count must be <= {_GRID_MAX}")
-    p, q = factor.numerator, factor.denominator
+    return start, factor.numerator, factor.denominator, count
+
+
+def _geom_cost(start: int, p: int, q: int, count: int) -> int:
+    """The limb products of ``_geom_sizes``, from bit lengths only.  At step i, top = start p^i has at most
+    s + i pb bits, bottom = q^i at most i qb + 1 and their quotient at most s + i (pb - qb + 1) + 1.  A product
+    costs its operands' limbs multiplied, and the division the quotient's limbs times the divisor's."""
+    s, pb, qb = abs(start).bit_length(), p.bit_length(), q.bit_length()
+    steps = [[bits // 30 + 1 for bits in (s + i * pb, i * qb + 1, s + i * (pb - qb + 1) + 1)] for i in range(count)]
+    return sum(top * (pb // 30 + 1) + bottom * (qb // 30 + 1 + quotient) for top, bottom, quotient in steps)
+
+
+def _geom_sizes(start: int, p: int, q: int, count: int) -> list[int]:
+    """The sizes floor(start (p/q)^i + 1/2), i < count, in integers, with rounding collisions dropped, built only
+    once their cost is found within ``GRID_GEOM_BUDGET``."""
+    check_budget("scan", "the limb-product count of its --grid-geom", _geom_cost(start, p, q, count), GRID_GEOM_BUDGET)
     grid: list[int] = []
     top, bottom = start, 1  # start (p/q)^i = top / bottom
     for _ in range(count):
@@ -105,7 +125,7 @@ def _cut(text: str) -> str:
 
 
 def _scan(ns):
-    grid = ns.grid if ns.grid is not None else ns.grid_geom
+    grid = ns.grid if ns.grid is not None else _geom_sizes(*ns.grid_geom)
     cost = sum(_corr_digits(ns.k, N) + 2 * max(ns.precision, 0) for N in grid)
     check_budget("scan", "the digit count of its records", cost, SCAN_DIGIT_BUDGET)
     return convergence_scan(ns.k, ns.f, grid)

@@ -55,8 +55,8 @@ from itertools import repeat
 from math import perm
 from operator import add, mul, sub
 
-from .errors import DomainError, check_budget, check_design
-from .exactnum import binomial, falling_factorial, int_str, normal_moment, rational_str
+from .errors import DomainError, check_at_least, check_budget, check_design, int_str
+from .exactnum import binomial, falling_factorial, normal_moment, rational_str
 from .ppoly import p0_eval
 
 __all__ = [
@@ -134,8 +134,7 @@ def corr_exact(k: int, N: int, n: int) -> Fraction:
 def parity_exponent(k: int) -> int:
     """e(k) = k/2 for even k, (k+1)/2 for odd k: the power of N at which
     N^e(k) Corr(k) has a finite non-trivial limit."""
-    if k < 0:
-        raise DomainError(f"parity_exponent requires k >= 0, got k={k}")
+    check_at_least("parity_exponent", 0, k=k)
     return (k + k % 2) // 2
 
 
@@ -158,8 +157,7 @@ def theorem_limit(k: int, f: Fraction | int) -> Fraction:
     fraction with bits log10(2) past ``RESULT_DIGIT_BUDGET`` digits raise
     ``DomainError`` before any big-int work.
     """
-    if k < 0:
-        raise DomainError(f"theorem_limit requires k >= 0, got k={k}")
+    check_at_least("theorem_limit", 0, k=k)
     f = Fraction(f)
     if not 0 < f < 1:
         raise DomainError(f"theorem_limit requires 0 < f < 1, got f={rational_str(f)}")
@@ -213,7 +211,7 @@ class AlphaTable:
     def f_coefficient(self, v: int, N: int) -> int:
         """sum_r coeffs[v][r] N^r: the coefficient of f^(k-v) in alpha."""
         if not 0 <= v <= self.k:
-            raise DomainError(f"f_coefficient requires 0 <= v <= {self.k}, got v={v}")
+            raise DomainError(f"f_coefficient requires 0 <= v <= {int_str(self.k)}, got v={int_str(v)}")
         total = 0
         for c in reversed(self.coeffs[v]):
             total = total * N + c
@@ -262,8 +260,7 @@ def alpha_coefficients(k: int) -> AlphaTable:
     stops at the row's end, and rows whose segment starts past it are
     skipped.  The finished table is memoised by k.
     """
-    if k < 0:
-        raise DomainError(f"alpha_coefficients requires k >= 0, got k={k}")
+    check_at_least("alpha_coefficients", 0, k=k)
     table = _ALPHA_CACHE.get(k)
     if table is not None:
         return table
@@ -300,8 +297,7 @@ def coefficient_limit(k: int, v: int) -> Fraction:
     Odd  k:  (2/3) (-1)^v (k-1) (k+1-v) / (k+1) E Z^(k+1) C((k+1)/2, v)
              for v <= (k+1)/2, else 0.
     """
-    if k < 0 or v < 0:
-        raise DomainError(f"coefficient_limit requires k, v >= 0, got ({k}, {v})")
+    check_at_least("coefficient_limit", 0, k=k, v=v)
     if k % 2 == 0:
         h = k // 2
         return Fraction((-1) ** v * normal_moment(k) * binomial(h, v))
@@ -362,8 +358,7 @@ def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
     A scan that skips every grid entry has no record and raises
     ``DomainError``.
     """
-    if k < 2:
-        raise DomainError(f"convergence_scan requires k >= 2, got k={k}")
+    check_at_least("convergence_scan", 2, k=k)
     f = Fraction(f)
     if not 0 < f < 1:
         raise DomainError(f"convergence_scan requires 0 < f < 1, got f={rational_str(f)}")
@@ -371,9 +366,7 @@ def convergence_scan(k: int, f: Fraction | int, N_grid) -> list[CorrRecord]:
     if not grid:
         raise DomainError("convergence_scan requires a non-empty grid")
     # each message names one entry, never the whole grid
-    for N in grid:
-        if N < 2:
-            raise DomainError(f"convergence_scan requires every N >= 2, got N={int_str(N)}")
+    check_at_least("convergence_scan", 2, N=min(grid))
     for a, b in zip(grid, grid[1:]):
         if b <= a:
             raise DomainError(

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two helpers that raise them with a one-line message for any
+int: ``check_at_least`` refuses an argument below its lower bound, and ``check_budget`` a cost past its budget."""
 
 from __future__ import annotations
 
@@ -30,11 +31,18 @@ def int_str(value: int) -> str:
         return str(Decimal(value))
 
 
+def check_at_least(caller: str, low: int, **values: int) -> None:
+    """Raise DomainError, naming ``caller``, for the first of ``values`` below
+    ``low``: ``CALLER requires NAME >= LOW, got NAME=VALUE``."""
+    for name, value in values.items():
+        if value < low:
+            raise DomainError(f"{caller} requires {name} >= {low}, got {name}={int_str(value)}")
+
+
 def check_design(caller: str, k: int, N: int, n: int) -> None:
     """Raise DomainError, naming ``caller``, unless N >= 1, 0 <= n <= N and
     0 <= k <= N."""
-    if N < 1:
-        raise DomainError(f"{caller} requires N >= 1, got N={int_str(N)}")
+    check_at_least(caller, 1, N=N)
     if not 0 <= n <= N:
         raise DomainError(f"{caller} requires 0 <= n <= N, got n={int_str(n)}, N={int_str(N)}")
     if not 0 <= k <= N:

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import repeat
 from operator import add, mul
 
-from .errors import DomainError, int_str
+from .errors import DomainError, check_at_least, int_str
 
 __all__ = [
     "binomial",
@@ -39,7 +39,6 @@ __all__ = [
     "kronecker_delta",
     "parse_rational",
     "rational_str",
-    "int_str",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
@@ -74,8 +73,7 @@ def kronecker_delta(n: int) -> int:
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise DomainError(f"binomial requires n >= 0, got n={n}")
+    check_at_least("binomial", 0, n=n)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -84,8 +82,7 @@ def binomial(n: int, k: int) -> int:
 def falling_factorial(x: Fraction | int, j: int) -> Fraction:
     """(x)_j = x (x-1) ... (x-j+1), with (x)_0 = 1.  The factors keep the
     type of x, so an int x is multiplied out in integers."""
-    if j < 0:
-        raise DomainError(f"falling_factorial requires j >= 0, got j={j}")
+    check_at_least("falling_factorial", 0, j=j)
     return Fraction(math.prod(x - i for i in range(j)))
 
 
@@ -98,8 +95,7 @@ def stirling_first_unsigned(j: int, v: int) -> int:
     so a call never recurses, whatever j is.  The count is 0 outside the
     triangle 0 <= v <= j, including for negative v.
     """
-    if j < 0:
-        raise DomainError(f"stirling_first_unsigned requires j >= 0, got j={j}")
+    check_at_least("stirling_first_unsigned", 0, j=j)
     if v < 0 or v > j:
         return 0
     return _stirling_first_prefix(j, _prefix_width(v, j))[v]
@@ -113,8 +109,7 @@ def stirling_second(m: int, k: int) -> int:
     Read from a row prefix S(m, 0..w) built by ``_stirling_second_prefix``,
     so a call never recurses, whatever m is.
     """
-    if m < 0 or k < 0:
-        raise DomainError(f"stirling_second requires m, k >= 0, got ({m}, {k})")
+    check_at_least("stirling_second", 0, m=m, k=k)
     if k > m:
         return 0
     return _stirling_second_prefix(m, _prefix_width(k, m))[k]
@@ -155,8 +150,7 @@ def bernoulli(p: int) -> Fraction:
     ``sum_{j=0}^{m} C(m+1, j) B_j = 0`` for m >= 1, i.e. the recurrence is
     the ground truth here rather than any zeta-function shortcut.
     """
-    if p < 0:
-        raise DomainError(f"bernoulli requires p >= 0, got p={p}")
+    check_at_least("bernoulli", 0, p=p)
     if p == 0:
         return Fraction(1)
     acc = Fraction(0)
@@ -173,8 +167,7 @@ def power_sum_coefficients(m: int) -> tuple[Fraction, ...]:
     Faulhaber's closed form: F_m(k) = (1/(m+1)) sum_{p=0}^{m} C(m+1, p) B_p
     k^(m+1-p).  The polynomial has no constant term.
     """
-    if m < 0:
-        raise DomainError(f"power_sum_coefficients requires m >= 0, got m={m}")
+    check_at_least("power_sum_coefficients", 0, m=m)
     coeffs = [Fraction(0)] * (m + 2)
     for p in range(m + 1):
         coeffs[m + 1 - p] = Fraction(binomial(m + 1, p), m + 1) * bernoulli(p)
@@ -184,8 +177,7 @@ def power_sum_coefficients(m: int) -> tuple[Fraction, ...]:
 def sum_of_powers(k: int, m: int) -> Fraction:
     """sum_{p=0}^{k-1} p^m evaluated through the Bernoulli closed form
     (with the 0^0 = 1 convention for m = 0).  Always integer-valued."""
-    if k < 0 or m < 0:
-        raise DomainError(f"sum_of_powers requires k, m >= 0, got ({k}, {m})")
+    check_at_least("sum_of_powers", 0, k=k, m=m)
     coeffs = power_sum_coefficients(m)
     out = Fraction(0)
     kk = Fraction(1)
@@ -198,8 +190,7 @@ def sum_of_powers(k: int, m: int) -> Fraction:
 def normal_moment(k: int) -> int:
     """E Z^k for Z standard normal: 0 for odd k and
     k! / (2^(k/2) (k/2)!) = (k-1)!! for even k."""
-    if k < 0:
-        raise DomainError(f"normal_moment requires k >= 0, got k={k}")
+    check_at_least("normal_moment", 0, k=k)
     if k % 2 == 1:
         return 0
     h = k // 2
@@ -209,8 +200,7 @@ def normal_moment(k: int) -> int:
 def double_factorial_odd(t: int) -> int:
     """Product of the positive odd integers <= t, with the empty product 1
     (so t = -1 and t = 0 both give 1)."""
-    if t < -1:
-        raise DomainError(f"double_factorial_odd requires t >= -1, got t={t}")
+    check_at_least("double_factorial_odd", -1, t=t)
     out = 1
     for q in range(1, t + 1, 2):
         out *= q
@@ -221,7 +211,7 @@ def _half_lattice(value: Fraction | int) -> Fraction:
     """``value`` as a Fraction, if it is an integer or a half-integer."""
     q = Fraction(value)
     if q.denominator not in (1, 2):
-        raise DomainError(f"{q} is neither an integer nor a half-integer")
+        raise DomainError(f"{rational_str(q)} is neither an integer nor a half-integer")
     return q
 
 
@@ -235,11 +225,10 @@ def gamma_ratio(m: int, beta: Fraction | int) -> Fraction:
 
         (m-1)! q^m / prod_{i=0}^{m-1} (p + i q).
     """
-    if m < 1:
-        raise DomainError(f"gamma_ratio requires m >= 1, got m={m}")
+    check_at_least("gamma_ratio", 1, m=m)
     beta = _half_lattice(beta)
     if beta <= 0:
-        raise DomainError(f"gamma_ratio requires beta > 0, got beta={beta}")
+        raise DomainError(f"gamma_ratio requires beta > 0, got beta={rational_str(beta)}")
     p, q = beta.numerator, beta.denominator
     return Fraction(math.factorial(m - 1) * q**m, math.prod(p + i * q for i in range(m)))
 
@@ -260,14 +249,13 @@ def alternating_fraction_sum(
     beta/gamma must be a positive integer or half-integer so that G is
     rational; all coefficients are otherwise arbitrary rationals.
     """
-    if m < 1:
-        raise DomainError(f"alternating_fraction_sum requires m >= 1, got m={m}")
+    check_at_least("alternating_fraction_sum", 1, m=m)
     alpha, delta, gamma, beta = (Fraction(x) for x in (alpha, delta, gamma, beta))
     if gamma == 0:
         raise DomainError("alternating_fraction_sum requires gamma != 0")
     ratio = _half_lattice(beta / gamma)
     if ratio <= 0:
-        raise DomainError(f"alternating_fraction_sum requires beta/gamma > 0, got {ratio}")
+        raise DomainError(f"alternating_fraction_sum requires beta/gamma > 0, got {rational_str(ratio)}")
     out = (alpha / gamma) * kronecker_delta(m - 1)
     out += gamma_ratio(m, ratio) * (delta - alpha * ratio) / gamma
     return out

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, check_budget
+from .errors import DomainError, check_at_least, check_budget, int_str
 from .exactnum import power_sum_coefficients
 
 __all__ = [
@@ -89,8 +89,7 @@ class Poly:
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x^i (zero outside the stored range)."""
-        if i < 0:
-            raise DomainError(f"coefficient index must be >= 0, got {i}")
+        check_at_least("Poly.coefficient", 0, i=i)
         return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
 
     def __call__(self, x):
@@ -115,7 +114,8 @@ class Poly:
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
-            raise DomainError(f"Poly exponent must be a non-negative int, got {exponent!r}")
+            shown = int_str(exponent) if isinstance(exponent, int) else repr(exponent)
+            raise DomainError(f"Poly exponent must be a non-negative int, got {shown}")
         out = Poly([1])
         base = self
         for _ in range(exponent):
@@ -190,8 +190,7 @@ def p_poly(k: int, m: int) -> Poly:
     multiplied out by Horner's rule as one integer vector over (2m)!.  Only
     the finished polynomial is memoised, by (k, m).
     """
-    if k < 0 or m < 0:
-        raise DomainError(f"p_poly requires k, m >= 0, got ({k}, {m})")
+    check_at_least("p_poly", 0, k=k, m=m)
     check_budget("p_poly", "the addition count m * max(2m, k)", m * max(2 * m, k), PPOLY_BUDGET)
     poly = _P_CACHE.get((k, m))
     if poly is not None:
@@ -243,8 +242,8 @@ def p0_eval(k: int, m: int, j: int) -> int:
     (k, level).  For j > k-m (which covers m > k) the sum is empty,
     so the value is 0 and no row is built.
     """
-    if k < 0 or m < 0 or j < 0:
-        raise DomainError(f"p0_eval requires k, m, j >= 0, got ({k}, {m}, {j})")
+    if k < 0 or m < 0 or j < 0:  # compared inline: alpha_coefficients calls p0_eval thousands of times
+        check_at_least("p0_eval", 0, k=k, m=m, j=j)
     if m == 0:
         return 1
     if j > k - m:
@@ -268,10 +267,9 @@ def elementary_sum_oracle(j_top: int, v: int, u: int) -> int:
     empty window, which is why j_top = u - 1 is admitted).  This is the
     independent combinatorial oracle for ``p0_eval``.
     """
-    if v < 0 or u < 0:
-        raise DomainError(f"elementary_sum_oracle requires v, u >= 0, got (v={v}, u={u})")
+    check_at_least("elementary_sum_oracle", 0, v=v, u=u)
     if j_top < u - 1:
-        raise DomainError(f"elementary_sum_oracle window ends before it starts: j_top={j_top}, u={u}")
+        raise DomainError(f"elementary_sum_oracle window ends before it starts: j_top={int_str(j_top)}, u={int_str(u)}")
     total = 0
     for combo in itertools.combinations(range(u, j_top + 1), v):
         total += math.prod(combo)
@@ -286,7 +284,7 @@ def falling_factorial_via_p0(j: int, k: int, x: Fraction | int) -> Fraction:
     Requires 0 <= k <= j.
     """
     if k < 0 or j < k:
-        raise DomainError(f"falling_factorial_via_p0 requires 0 <= k <= j, got (j={j}, k={k})")
+        raise DomainError(f"falling_factorial_via_p0 requires 0 <= k <= j, got (j={int_str(j)}, k={int_str(k)})")
     x = Fraction(x)
     total = Fraction(0)
     for v in range(j - k + 1):

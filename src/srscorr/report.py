@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import partial
 
 from .correlation import CorrRecord, LimitSpec
-from .errors import DomainError, check_budget
-from .exactnum import int_str, parse_rational, rational_str
+from .errors import DomainError, check_at_least, check_budget, int_str
+from .exactnum import parse_rational, rational_str
 from .oracle import McEstimate
 from .ppoly import PolyRecord
 from .verify import CheckResult
@@ -47,8 +47,7 @@ PRECISION_BUDGET = 10**5
 def decimal_str(value: Fraction | int, digits: int) -> str:
     """Fixed-point decimal string of an exact rational, rounded half-to-even
     at ``digits`` fractional digits, computed in integer arithmetic."""
-    if digits < 1:
-        raise DomainError(f"decimal rendering requires 1 <= digits <= {PRECISION_BUDGET}, got {int_str(digits)}")
+    check_at_least("decimal_str", 1, digits=digits)
     check_budget("decimal_str", "the digit count", digits, PRECISION_BUDGET)
     if not isinstance(value, (Fraction, int)):
         value = Fraction(value)
@@ -160,8 +159,7 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
     """
     if format not in ("json", "csv"):
         raise DomainError(f"unknown report format: {format!r}")
-    if precision < 1:
-        raise DomainError(f"emit_report requires precision >= 1 and <= {PRECISION_BUDGET}, got {int_str(precision)}")
+    check_at_least("emit_report", 1, precision=precision)
     check_budget("emit_report", "the precision", precision, PRECISION_BUDGET)
     objs = [row_to_obj(row, precision) for row in rows]
     keys = list(objs[0].keys()) if objs else list(columns or ())

@@ -25,7 +25,7 @@ from .correlation import (
     parity_exponent,
     theorem_limit,
 )
-from .errors import DomainError
+from .errors import DomainError, check_at_least
 from .exactnum import (
     alternating_fraction_sum,
     bernoulli,
@@ -673,8 +673,8 @@ def run_suite(name: str, max_k: int | None = None) -> list[CheckResult]:
     ``None`` keeps every check at its full stated range.  A check capped
     below its lower bound has nothing to compare, so it fails.
     """
-    if max_k is not None and max_k < 0:
-        raise DomainError(f"max_k must be >= 0, got {max_k}")
+    if max_k is not None:
+        check_at_least("run_suite", 0, max_k=max_k)
     if name != "all" and name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     return [check.run(max_k) for check in CHECKS if name in ("all", check.suite)]

@@ -2,7 +2,9 @@
 the functions that take a (k, N, n) design, and the argument checks of the
 other entry points."""
 
+import ast
 import contextlib
+import pathlib
 import pkgutil
 import re
 import time
@@ -16,15 +18,20 @@ from srscorr import cli, correlation, oracle, ppoly, report
 from srscorr.correlation import (
     alpha_coefficients,
     coefficient_limit,
+    convergence_scan,
     corr_exact,
     evaluate_correlation,
     parity_exponent,
     theorem_limit,
 )
-from srscorr.errors import DomainError, EnumerationBoundError, int_str
+from srscorr.errors import DomainError, EnumerationBoundError, check_at_least, int_str
 from srscorr.exactnum import (
+    alternating_fraction_sum,
     bernoulli,
+    binomial,
     double_factorial_odd,
+    falling_factorial,
+    gamma_ratio,
     normal_moment,
     power_sum_coefficients,
     stirling_first_unsigned,
@@ -39,7 +46,7 @@ from srscorr.oracle import (
     sample_srs,
     trial_stream_seed,
 )
-from srscorr.ppoly import Poly, p_poly
+from srscorr.ppoly import Poly, elementary_sum_oracle, falling_factorial_via_p0, p0_eval, p_poly
 from srscorr.report import decimal_str, emit_report
 from srscorr.verify import run_suite
 
@@ -83,57 +90,114 @@ def test_design_domain_messages(name, k, N, n, message):
 
 
 _CORR_ROW = evaluate_correlation(2, 10, 5)
-
-# call as written -> (the call, a substring of its DomainError message)
-_ARGUMENT_CHECKS = {
-    "parity_exponent(-1)": (lambda: parity_exponent(-1), "parity_exponent requires k >= 0"),
-    "alpha_coefficients(-1)": (lambda: alpha_coefficients(-1), "alpha_coefficients requires k >= 0"),
-    "f_coefficient(4, 10) at k=3": (
-        lambda: alpha_coefficients(3).f_coefficient(4, 10),
-        "f_coefficient requires 0 <= v <= 3",
-    ),
-    "coefficient_limit(-1, 0)": (lambda: coefficient_limit(-1, 0), "coefficient_limit requires k, v >= 0"),
-    "stirling_first_unsigned(-1, 0)": (
-        lambda: stirling_first_unsigned(-1, 0),
-        "stirling_first_unsigned requires j >= 0",
-    ),
-    "stirling_second(-1, 0)": (lambda: stirling_second(-1, 0), "stirling_second requires m, k >= 0"),
-    "bernoulli(-1)": (lambda: bernoulli(-1), "bernoulli requires p >= 0"),
-    "power_sum_coefficients(-1)": (lambda: power_sum_coefficients(-1), "power_sum_coefficients requires m >= 0"),
-    "sum_of_powers(-1, 0)": (lambda: sum_of_powers(-1, 0), "sum_of_powers requires k, m >= 0"),
-    "normal_moment(-1)": (lambda: normal_moment(-1), "normal_moment requires k >= 0"),
-    "double_factorial_odd(-2)": (lambda: double_factorial_odd(-2), "double_factorial_odd requires t >= -1"),
-    "Poly.coefficient(-1)": (lambda: Poly([1]).coefficient(-1), "coefficient index must be >= 0"),
-    "Poly ** -1": (lambda: Poly([1]) ** -1, "Poly exponent must be a non-negative int"),
-    "trial_stream_seed(0, -1)": (lambda: trial_stream_seed(0, -1), "trial index must be >= 0"),
-    "emit_report precision=0": (
-        lambda: emit_report([_CORR_ROW], "json", precision=0),
-        "emit_report requires precision >= 1",
-    ),
-    "emit_report of mixed rows": (
-        lambda: emit_report([_CORR_ROW, monte_carlo_corr(2, 10, 5, trials=10)], "json"),
-        "all rows in a report must share the same columns",
-    ),
-    "run_suite('nope')": (lambda: run_suite("nope"), "unknown suite 'nope'"),
-    "run_suite('all', -1)": (lambda: run_suite("all", -1), "max_k must be >= 0, got -1"),
-}
-
-
-@pytest.mark.parametrize("case", list(_ARGUMENT_CHECKS))
-def test_argument_checks_raise_domain_error(case):
-    call, message = _ARGUMENT_CHECKS[case]
-    with pytest.raises(DomainError, match=re.escape(message)):
-        call()
-
-
 _BIG = 10**5000  # past the interpreter's 4300-digit int-to-str limit
+_MINUS_BIG = int_str(-_BIG)
 
-# call as written -> (the call, its whole DomainError message)
-_BIG_INT_CHECKS = {
+# call as written -> (the call, its whole DomainError message).  Every
+# ``check_at_least`` call site has a row, called with -10**5000, and so has
+# every two-sided check that repeats an int, called with ±10**5000 where it can.
+_REFUSALS = {
+    # exactnum
+    "binomial(-10**5000, 1)": (lambda: binomial(-_BIG, 1), f"binomial requires n >= 0, got n={_MINUS_BIG}"),
+    "falling_factorial(3, -10**5000)": (
+        lambda: falling_factorial(3, -_BIG),
+        f"falling_factorial requires j >= 0, got j={_MINUS_BIG}",
+    ),
+    "stirling_first_unsigned(-10**5000, 0)": (
+        lambda: stirling_first_unsigned(-_BIG, 0),
+        f"stirling_first_unsigned requires j >= 0, got j={_MINUS_BIG}",
+    ),
+    "stirling_second(2, -10**5000)": (
+        lambda: stirling_second(2, -_BIG),
+        f"stirling_second requires k >= 0, got k={_MINUS_BIG}",
+    ),
+    "bernoulli(-10**5000)": (lambda: bernoulli(-_BIG), f"bernoulli requires p >= 0, got p={_MINUS_BIG}"),
+    "power_sum_coefficients(-10**5000)": (
+        lambda: power_sum_coefficients(-_BIG),
+        f"power_sum_coefficients requires m >= 0, got m={_MINUS_BIG}",
+    ),
+    "sum_of_powers(3, -10**5000)": (
+        lambda: sum_of_powers(3, -_BIG),
+        f"sum_of_powers requires m >= 0, got m={_MINUS_BIG}",
+    ),
+    "normal_moment(-10**5000)": (lambda: normal_moment(-_BIG), f"normal_moment requires k >= 0, got k={_MINUS_BIG}"),
+    "double_factorial_odd(-10**5000)": (
+        lambda: double_factorial_odd(-_BIG),
+        f"double_factorial_odd requires t >= -1, got t={_MINUS_BIG}",
+    ),
+    "double_factorial_odd(-2)": (lambda: double_factorial_odd(-2), "double_factorial_odd requires t >= -1, got t=-2"),
+    "gamma_ratio(-10**5000, 1)": (lambda: gamma_ratio(-_BIG, 1), f"gamma_ratio requires m >= 1, got m={_MINUS_BIG}"),
+    "gamma_ratio(1, -10**5000)": (
+        lambda: gamma_ratio(1, -_BIG),
+        f"gamma_ratio requires beta > 0, got beta={_MINUS_BIG}",
+    ),
+    "gamma_ratio(1, 1/10**5000)": (
+        lambda: gamma_ratio(1, Fraction(1, _BIG)),
+        f"1/{int_str(_BIG)} is neither an integer nor a half-integer",
+    ),
+    "alternating_fraction_sum(-10**5000, 1, 1, 1, 1)": (
+        lambda: alternating_fraction_sum(-_BIG, 1, 1, 1, 1),
+        f"alternating_fraction_sum requires m >= 1, got m={_MINUS_BIG}",
+    ),
+    "alternating_fraction_sum(1, 1, 1, 1, -10**5000)": (
+        lambda: alternating_fraction_sum(1, 1, 1, 1, -_BIG),
+        f"alternating_fraction_sum requires beta/gamma > 0, got {_MINUS_BIG}",
+    ),
+    # correlation, and check_design's N >= 1
+    "corr_exact(2, -10**5000, 1)": (lambda: corr_exact(2, -_BIG, 1), f"corr_exact requires N >= 1, got N={_MINUS_BIG}"),
     "corr_exact(2, 10**5000, 10**5000 + 1)": (
         lambda: corr_exact(2, _BIG, _BIG + 1),
         f"corr_exact requires 0 <= n <= N, got n={int_str(_BIG + 1)}, N={int_str(_BIG)}",
     ),
+    "parity_exponent(-10**5000)": (
+        lambda: parity_exponent(-_BIG),
+        f"parity_exponent requires k >= 0, got k={_MINUS_BIG}",
+    ),
+    "theorem_limit(-10**5000, 1/3)": (
+        lambda: theorem_limit(-_BIG, Fraction(1, 3)),
+        f"theorem_limit requires k >= 0, got k={_MINUS_BIG}",
+    ),
+    "alpha_coefficients(-10**5000)": (
+        lambda: alpha_coefficients(-_BIG),
+        f"alpha_coefficients requires k >= 0, got k={_MINUS_BIG}",
+    ),
+    "f_coefficient(10**5000, 10) at k=3": (
+        lambda: alpha_coefficients(3).f_coefficient(_BIG, 10),
+        f"f_coefficient requires 0 <= v <= 3, got v={int_str(_BIG)}",
+    ),
+    "coefficient_limit(2, -10**5000)": (
+        lambda: coefficient_limit(2, -_BIG),
+        f"coefficient_limit requires v >= 0, got v={_MINUS_BIG}",
+    ),
+    "convergence_scan(-10**5000, 1/2, [10])": (
+        lambda: convergence_scan(-_BIG, Fraction(1, 2), [10]),
+        f"convergence_scan requires k >= 2, got k={_MINUS_BIG}",
+    ),
+    "convergence_scan(2, 1/2, [-10**5000, 10])": (
+        lambda: convergence_scan(2, Fraction(1, 2), [-_BIG, 10]),
+        f"convergence_scan requires N >= 2, got N={_MINUS_BIG}",
+    ),
+    # ppoly
+    "Poly.coefficient(-10**5000)": (
+        lambda: Poly([1]).coefficient(-_BIG),
+        f"Poly.coefficient requires i >= 0, got i={_MINUS_BIG}",
+    ),
+    "Poly ** -10**5000": (lambda: Poly([1]) ** -_BIG, f"Poly exponent must be a non-negative int, got {_MINUS_BIG}"),
+    "p_poly(-10**5000, 1)": (lambda: p_poly(-_BIG, 1), f"p_poly requires k >= 0, got k={_MINUS_BIG}"),
+    "p0_eval(1, 2, -10**5000)": (lambda: p0_eval(1, 2, -_BIG), f"p0_eval requires j >= 0, got j={_MINUS_BIG}"),
+    "elementary_sum_oracle(3, 1, -10**5000)": (
+        lambda: elementary_sum_oracle(3, 1, -_BIG),
+        f"elementary_sum_oracle requires u >= 0, got u={_MINUS_BIG}",
+    ),
+    "elementary_sum_oracle(-10**5000, 0, 5)": (
+        lambda: elementary_sum_oracle(-_BIG, 0, 5),
+        f"elementary_sum_oracle window ends before it starts: j_top={_MINUS_BIG}, u=5",
+    ),
+    "falling_factorial_via_p0(1, -10**5000, 0)": (
+        lambda: falling_factorial_via_p0(1, -_BIG, 0),
+        f"falling_factorial_via_p0 requires 0 <= k <= j, got (j=1, k={_MINUS_BIG})",
+    ),
+    # oracle
     "sample_srs(10**5000, 10**5000 + 1, SplitMix64(1))": (
         lambda: sample_srs(_BIG, _BIG + 1, SplitMix64(1)),
         f"sample_srs requires 0 <= n <= N, got n={int_str(_BIG + 1)}, N={int_str(_BIG)}",
@@ -142,36 +206,86 @@ _BIG_INT_CHECKS = {
         lambda: SplitMix64(1).next_below(2**70000),
         f"next_below requires 1 <= bound <= 2^64, got {int_str(2**70000)}",
     ),
+    "trial_stream_seed(0, -10**5000)": (
+        lambda: trial_stream_seed(0, -_BIG),
+        f"trial_stream_seed requires t >= 0, got t={_MINUS_BIG}",
+    ),
+    "brute_force_corr(1, 3, 1, members=(-10**5000,))": (
+        lambda: brute_force_corr(1, 3, 1, members=(-_BIG,)),
+        f"H must be k distinct units from 0..2, got ({_MINUS_BIG})",
+    ),
     "monte_carlo_corr(2, 10**5000, 3, 10)": (
         lambda: monte_carlo_corr(2, _BIG, 3, 10),
         f"monte_carlo_corr requires N < 2^64, got N={int_str(_BIG)}",
     ),
     "monte_carlo_corr(2, 10, 3, -10**5000)": (
         lambda: monte_carlo_corr(2, 10, 3, -_BIG),
-        f"monte_carlo_corr requires trials >= 1, got {int_str(-_BIG)}",
+        f"monte_carlo_corr requires trials >= 1, got trials={_MINUS_BIG}",
     ),
-    "trial_stream_seed(0, -10**5000)": (
-        lambda: trial_stream_seed(0, -_BIG),
-        f"trial index must be >= 0, got {int_str(-_BIG)}",
-    ),
+    # report and verify
     "decimal_str(1, -10**5000)": (
         lambda: decimal_str(1, -_BIG),
-        f"decimal rendering requires 1 <= digits <= 100000, got {int_str(-_BIG)}",
+        f"decimal_str requires digits >= 1, got digits={_MINUS_BIG}",
     ),
     "emit_report precision=-10**5000": (
         lambda: emit_report([_CORR_ROW], "json", precision=-_BIG),
-        f"emit_report requires precision >= 1 and <= 100000, got {int_str(-_BIG)}",
+        f"emit_report requires precision >= 1, got precision={_MINUS_BIG}",
+    ),
+    "emit_report precision=0": (
+        lambda: emit_report([_CORR_ROW], "json", precision=0),
+        "emit_report requires precision >= 1, got precision=0",
+    ),
+    "emit_report of mixed rows": (
+        lambda: emit_report([_CORR_ROW, monte_carlo_corr(2, 10, 5, trials=10)], "json"),
+        "all rows in a report must share the same columns",
+    ),
+    "run_suite('all', -10**5000)": (
+        lambda: run_suite("all", -_BIG),
+        f"run_suite requires max_k >= 0, got max_k={_MINUS_BIG}",
+    ),
+    "run_suite('nope')": (
+        lambda: run_suite("nope"),
+        "unknown suite 'nope'; choose from ('exactnum', 'ppoly', 'correlation', 'oracle', 'all')",
     ),
 }
 
 
-@pytest.mark.parametrize("case", list(_BIG_INT_CHECKS))
-def test_messages_repeat_ints_past_the_str_digit_limit(case):
-    # str() of such an int raises a bare ValueError, so the check must not use it
-    call, message = _BIG_INT_CHECKS[case]
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_each_refusal_is_one_whole_line(case):
+    # str() of an int past the digit limit raises a bare ValueError, so no message may use it
+    call, message = _REFUSALS[case]
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message and "\n" not in message
+
+
+def test_check_at_least_admits_its_bound_and_names_the_first_value_below_it():
+    check_at_least("caller", -1, t=-1, u=0)
+    with pytest.raises(DomainError, match=r"^caller requires u >= -1, got u=-2$"):
+        check_at_least("caller", -1, t=5, u=-2, v=-3)
+
+
+def _check_at_least_sites():
+    """(caller, low, names) of every ``check_at_least`` call in the package
+    source, with caller None where it is not a literal."""
+    sites = []
+    for path in sorted(pathlib.Path(srscorr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_at_least":
+                caller, low = node.args
+                name = caller.value if isinstance(caller, ast.Constant) else None
+                sites.append((name, ast.literal_eval(low), [keyword.arg for keyword in node.keywords]))
+    return sites
+
+
+def test_every_check_at_least_site_has_a_refusal_row():
+    sites = _check_at_least_sites()
+    assert len(sites) >= 25  # the walk found the package source
+    messages = [message for _, message in _REFUSALS.values()]
+    for caller, low, names in sites:
+        caller = r"\S+" if caller is None else re.escape(caller)
+        pattern = rf"{caller} requires ({'|'.join(names)}) >= {low}, got \1="
+        assert any(re.match(pattern, message) for message in messages), f"no row for {pattern}"
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +306,20 @@ _BUDGETS = {
     "correlation.RESULT_DIGIT_BUDGET": (
         10**5,
         [(5, lambda: corr_exact(2, 10, 5)), (4, lambda: theorem_limit(2, Fraction(1, 3)))],
-        # limit --k 200000 took 19.7 s before the budget; for N past 4300 digits the estimate reads N.bit_length()
+        # limit --k 200000 took 19.7 s before the budget; for N past 4300 digits the estimate reads N.bit_length();
+        # brute_force_corr(2 10^6, 2 10^6, 0) has one subset, but building N^k took 9 s
         [lambda: theorem_limit(200_000, Fraction(1, 3)), lambda: corr_exact(2, 10**60_000, 1),
-         lambda: corr_exact(100_000, 10**7, 4 * 10**6)],
+         lambda: corr_exact(100_000, 10**7, 4 * 10**6), lambda: brute_force_corr(2 * 10**6, 2 * 10**6, 0)],
         [(correlation, "perm"), (correlation, "normal_moment")],
         [["limit", "--k", "200000", "--f", "1/3"], ["corr", "--k", "100000", "--N", "10000000", "--n", "4000000"]],
     ),
     "oracle.ENUMERATION_BUDGET": (
-        10_000_000,
-        [(20, lambda: brute_force_corr(2, 6, 3))],
-        # C(10^7 + 1, 1) is one past; C(26, 13) > 10^7 > C(24, 12); C(10^6, 5 10^5) in full took 11.7 s
+        10_000_000,  # C(N, n) x (n + k): each sample costs n + k steps
+        [(100, lambda: brute_force_corr(2, 6, 3))],
+        # C(26, 13) > 10^7; C(10^6, 5 10^5) in full took 11.7 s; C(10^7, 10^7 - 1) = 10^7 subsets of 10^7 steps
+        # each, where the time grows as N^2 (1.66 s at N = 10^4)
         [lambda: brute_force_corr(1, 10**7 + 1, 1), lambda: brute_force_corr(2, 26, 13),
-         lambda: brute_force_corr(2, 10**6, 5 * 10**5)],
+         lambda: brute_force_corr(2, 10**6, 5 * 10**5), lambda: brute_force_corr(2, 10**7, 10**7 - 1)],
         [(oracle.itertools, "combinations")],
         [],
     ),
@@ -239,6 +355,16 @@ _BUDGETS = {
         [  # about 14 and 8 minutes of scanning
             ["scan", "--k", "6000", "--f", "1/3", "--grid", _NEAR_10_7],
             ["scan", "--k", "2", "--f", "1/3", "--grid", _NEAR_10_6, "--precision", "100000"],
+        ],
+    ),
+    "cli.GRID_GEOM_BUDGET": (
+        10**9,  # limb products, estimated from bit lengths
+        [(12, lambda: _scan("--k", "2", "--f", "1/2", "--grid-geom", "10:2:4"))],
+        [lambda: cli._geom_sizes(2, 10**200 + 1, 10**100, 1000)],
+        [(cli, "convergence_scan")],
+        [  # 70 s and 2.5 s of building the sizes
+            ["scan", "--k", "2", "--f", "1/3", "--grid-geom", f"2:{10**200 + 1}/{10**100}:1000"],
+            ["scan", "--k", "2", "--f", "1/3", "--grid-geom", f"2:{10**40 + 1}/{10**20}:1000"],
         ],
     ),
 }

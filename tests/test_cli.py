@@ -299,12 +299,12 @@ def _fraction_grid(start, factor, count):
 @example(5, (11, 10), 12)  # 5.5 rounds up to 6, and 6.05 then collides with it
 def test_grid_geom_matches_the_fraction_loop(start, factor, count):
     p, q = factor
-    assert cli._grid_geom(f"{start}:{p}/{q}:{count}") == _fraction_grid(start, Fraction(p, q), count)
+    assert cli._geom_sizes(*cli._grid_geom(f"{start}:{p}/{q}:{count}")) == _fraction_grid(start, Fraction(p, q), count)
 
 
 def test_grid_geom_count_past_the_cap_is_refused_up_front(capsys):
     # at k = 2 a scan over 10^4 sizes took 11 s and printed 77 MB; 10^9 would never end
-    assert len(cli._grid_geom(f"2:2:{cli._GRID_MAX}")) == cli._GRID_MAX
+    assert len(cli._geom_sizes(*cli._grid_geom(f"2:2:{cli._GRID_MAX}"))) == cli._GRID_MAX
     start = time.perf_counter()
     for count in (cli._GRID_MAX + 1, 10**9):
         code, out, err = run_cli(capsys, "scan", "--k", "2", "--f", "1/2", "--grid-geom", f"2:2:{count}")

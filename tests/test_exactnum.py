@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from srscorr.errors import DomainError
+from srscorr.errors import DomainError, int_str
 from srscorr.exactnum import (
     alternating_fraction_sum,
     bernoulli,
     binomial,
     falling_factorial,
     gamma_ratio,
-    int_str,
     normal_moment,
     parse_rational,
     rational_str,
