@@ -55,7 +55,7 @@ _GRID_MAX = 1000
 # three at `--k 6000` near N = 10^7 took 2.2 s, so 1000 would take 12 min.
 SCAN_DIGIT_BUDGET = 10**6
 
-# The most limb products (30-bit digits) that building a --grid-geom may take, as ``_geom_cost`` estimates them:
+# The most limb products (30-bit digits) that building a --grid-geom may take, as ``_geom_sizes`` estimates them:
 # 0.3-1.6 ns each on a 2-core host.  `2:(10^200+1)/10^100:1000` took 70 s before this budget.
 GRID_GEOM_BUDGET = 10**9
 
@@ -88,19 +88,16 @@ def _grid_geom(text: str) -> tuple[int, int, int, int]:
     return start, factor.numerator, factor.denominator, count
 
 
-def _geom_cost(start: int, p: int, q: int, count: int) -> int:
-    """The limb products of ``_geom_sizes``, from bit lengths only.  At step i, top = start p^i has at most
-    s + i pb bits, bottom = q^i at most i qb + 1 and their quotient at most s + i (pb - qb + 1) + 1.  A product
-    costs its operands' limbs multiplied, and the division the quotient's limbs times the divisor's."""
-    s, pb, qb = abs(start).bit_length(), p.bit_length(), q.bit_length()
-    steps = [[bits // 30 + 1 for bits in (s + i * pb, i * qb + 1, s + i * (pb - qb + 1) + 1)] for i in range(count)]
-    return sum(top * (pb // 30 + 1) + bottom * (qb // 30 + 1 + quotient) for top, bottom, quotient in steps)
-
-
 def _geom_sizes(start: int, p: int, q: int, count: int) -> list[int]:
     """The sizes floor(start (p/q)^i + 1/2), i < count, in integers, with rounding collisions dropped, built only
-    once their cost is found within ``GRID_GEOM_BUDGET``."""
-    check_budget("scan", "the limb-product count of its --grid-geom", _geom_cost(start, p, q, count), GRID_GEOM_BUDGET)
+    once their limb products are found within ``GRID_GEOM_BUDGET``.  At step i, top = start p^i has at most s + i pb
+    bits, bottom = q^i at most i qb + 1 and their quotient at most s + i (pb - qb + 1) + 1; a product costs its
+    operands' limbs multiplied, and the division the quotient's limbs times the divisor's."""
+    s, pb, qb = abs(start).bit_length(), p.bit_length(), q.bit_length()
+    pl, ql = pb // 30 + 1, qb // 30 + 1  # limbs of p and q
+    cost = sum(((s + i * pb) // 30 + 1) * pl + ((i * qb + 1) // 30 + 1) * (ql + (s + i * (pb - qb + 1) + 1) // 30 + 1)
+               for i in range(count))
+    check_budget("scan", "the limb-product count of its --grid-geom", cost, GRID_GEOM_BUDGET)
     grid: list[int] = []
     top, bottom = start, 1  # start (p/q)^i = top / bottom
     for _ in range(count):

@@ -94,6 +94,11 @@ def _corr_digits(k: int, N: int) -> int:
     return _digits(2 * k * N.bit_length())
 
 
+def _check_corr_digits(caller: str, k: int, N: int) -> None:
+    """Refuse, naming ``caller``, an order and size whose exact Corr(k) has more than ``RESULT_DIGIT_BUDGET`` digits."""
+    check_budget(caller, "the exact result's size in digits", _corr_digits(k, N), RESULT_DIGIT_BUDGET)
+
+
 def corr_exact(k: int, N: int, n: int) -> Fraction:
     """Exact k-th order inclusion correlation for a size-n simple random
     sample from N units.
@@ -123,7 +128,7 @@ def corr_exact(k: int, N: int, n: int) -> Fraction:
     work.
     """
     check_design("corr_exact", k, N, n)
-    check_budget("corr_exact", "the exact result's size in digits", _corr_digits(k, N), RESULT_DIGIT_BUDGET)
+    _check_corr_digits("corr_exact", k, N)
     num = head = 1
     for j in range(1, k + 1):
         head = head * ((k - j + 1) * (n - j + 1) * N) // j

@@ -50,7 +50,7 @@ from math import comb
 
 import numpy as np
 
-from . import correlation
+from .correlation import _check_corr_digits
 from .errors import DomainError, EnumerationBoundError, check_at_least, check_budget, check_design, int_str
 
 __all__ = [
@@ -74,8 +74,8 @@ _MIX2 = 0x94D049BB133111EB
 #: Seed used by the CLI and the acceptance checks when none is given.
 DEFAULT_MC_SEED = 271828
 
-#: Hard ceiling on C(N, n)(n + k), the steps of an exhaustive enumeration: 0.4 s at
-#: ``brute_force_corr(2, 22, 11)`` and up to 2.8 s at C(N, 1) on a 2-core host.
+#: Hard ceiling on C(N, n)(n + k + 6), the steps of an exhaustive enumeration, where a
+#: sample costs about 6 steps more than its n + k: at most about 0.45 s on a 2-core host.
 ENUMERATION_BUDGET = 10_000_000
 
 #: Hard ceiling on trials x max(n, 1), the lane-steps of one Monte Carlo run
@@ -173,18 +173,16 @@ def brute_force_corr(k: int, N: int, n: int, members=None) -> Fraction:
     samples, using the integer rescaling (N 1_A - n) / N so the running sum
     stays in plain integers.  ``members`` picks the unit set H (default
     {0, .., k-1}); by exchangeability the result must not depend on it.
-    Refuses to run when its C(N, n)(n + k) steps exceed ``ENUMERATION_BUDGET``
+    Refuses to run when its C(N, n)(n + k + 6) steps exceed ``ENUMERATION_BUDGET``
     or its result's digits, as ``corr_exact`` bounds them, exceed
     ``RESULT_DIGIT_BUDGET``: N^k grows even where C(N, n) = 1.
     """
     check_design("brute_force_corr", k, N, n)
-    digits = correlation._corr_digits(k, N)
-    check_budget("brute_force_corr", "the exact result's size in digits", digits, correlation.RESULT_DIGIT_BUDGET)
-    # C(N, i) for i up to min(n, N - n): it rises until i = N/2, so the first
-    # cost past the budget is found without computing C(N, n) in full
-    counts = itertools.accumulate(range(min(n, N - n)), lambda c, i: c * (N - i) // (i + 1), initial=1)
-    for count in counts:  # each sample costs n + k steps
-        check_budget("brute_force_corr", "the step count C(N, n)(n + k)", count * (n + k), ENUMERATION_BUDGET,
+    _check_corr_digits("brute_force_corr", k, N)
+    # C(N, i) for i up to min(n, N - n): it rises until i = N/2, so the first cost past the budget is found without
+    # computing C(N, n) in full.  A sample costs n + k steps, and drawing it and building its set about 6 more.
+    for count in itertools.accumulate(range(min(n, N - n)), lambda c, i: c * (N - i) // (i + 1), initial=1):
+        check_budget("brute_force_corr", "the step count C(N, n)(n + k + 6)", count * (n + k + 6), ENUMERATION_BUDGET,
                      EnumerationBoundError)
     if members is None:
         members = tuple(range(k))

@@ -94,8 +94,9 @@ _BIG = 10**5000  # past the interpreter's 4300-digit int-to-str limit
 _MINUS_BIG = int_str(-_BIG)
 
 # call as written -> (the call, its whole DomainError message).  Every
-# ``check_at_least`` call site has a row, called with -10**5000, and so has
-# every two-sided check that repeats an int, called with ±10**5000 where it can.
+# ``check_at_least`` call site has a row for each name it checks, called with
+# -10**5000, and so has every two-sided check that repeats an int, called with
+# ±10**5000 where it can; hand-written compares also have rows at their edges.
 _REFUSALS = {
     # exactnum
     "binomial(-10**5000, 1)": (lambda: binomial(-_BIG, 1), f"binomial requires n >= 0, got n={_MINUS_BIG}"),
@@ -111,6 +112,10 @@ _REFUSALS = {
         lambda: stirling_second(2, -_BIG),
         f"stirling_second requires k >= 0, got k={_MINUS_BIG}",
     ),
+    "stirling_second(-10**5000, 0)": (
+        lambda: stirling_second(-_BIG, 0),
+        f"stirling_second requires m >= 0, got m={_MINUS_BIG}",
+    ),
     "bernoulli(-10**5000)": (lambda: bernoulli(-_BIG), f"bernoulli requires p >= 0, got p={_MINUS_BIG}"),
     "power_sum_coefficients(-10**5000)": (
         lambda: power_sum_coefficients(-_BIG),
@@ -119,6 +124,10 @@ _REFUSALS = {
     "sum_of_powers(3, -10**5000)": (
         lambda: sum_of_powers(3, -_BIG),
         f"sum_of_powers requires m >= 0, got m={_MINUS_BIG}",
+    ),
+    "sum_of_powers(-10**5000, 0)": (
+        lambda: sum_of_powers(-_BIG, 0),
+        f"sum_of_powers requires k >= 0, got k={_MINUS_BIG}",
     ),
     "normal_moment(-10**5000)": (lambda: normal_moment(-_BIG), f"normal_moment requires k >= 0, got k={_MINUS_BIG}"),
     "double_factorial_odd(-10**5000)": (
@@ -165,9 +174,21 @@ _REFUSALS = {
         lambda: alpha_coefficients(3).f_coefficient(_BIG, 10),
         f"f_coefficient requires 0 <= v <= 3, got v={int_str(_BIG)}",
     ),
+    "f_coefficient(4, 10) at k=3": (
+        lambda: alpha_coefficients(3).f_coefficient(4, 10),
+        "f_coefficient requires 0 <= v <= 3, got v=4",
+    ),
+    "f_coefficient(-1, 10) at k=3": (
+        lambda: alpha_coefficients(3).f_coefficient(-1, 10),
+        "f_coefficient requires 0 <= v <= 3, got v=-1",
+    ),
     "coefficient_limit(2, -10**5000)": (
         lambda: coefficient_limit(2, -_BIG),
         f"coefficient_limit requires v >= 0, got v={_MINUS_BIG}",
+    ),
+    "coefficient_limit(-10**5000, 0)": (
+        lambda: coefficient_limit(-_BIG, 0),
+        f"coefficient_limit requires k >= 0, got k={_MINUS_BIG}",
     ),
     "convergence_scan(-10**5000, 1/2, [10])": (
         lambda: convergence_scan(-_BIG, Fraction(1, 2), [10]),
@@ -184,10 +205,21 @@ _REFUSALS = {
     ),
     "Poly ** -10**5000": (lambda: Poly([1]) ** -_BIG, f"Poly exponent must be a non-negative int, got {_MINUS_BIG}"),
     "p_poly(-10**5000, 1)": (lambda: p_poly(-_BIG, 1), f"p_poly requires k >= 0, got k={_MINUS_BIG}"),
+    "p_poly(1, -10**5000)": (lambda: p_poly(1, -_BIG), f"p_poly requires m >= 0, got m={_MINUS_BIG}"),
+    # p0_eval compares inline and calls check_at_least only to refuse, so its rows include each bound's edge
+    "p0_eval(-10**5000, 2, 1)": (lambda: p0_eval(-_BIG, 2, 1), f"p0_eval requires k >= 0, got k={_MINUS_BIG}"),
+    "p0_eval(1, -10**5000, 1)": (lambda: p0_eval(1, -_BIG, 1), f"p0_eval requires m >= 0, got m={_MINUS_BIG}"),
     "p0_eval(1, 2, -10**5000)": (lambda: p0_eval(1, 2, -_BIG), f"p0_eval requires j >= 0, got j={_MINUS_BIG}"),
+    "p0_eval(-1, 0, 0)": (lambda: p0_eval(-1, 0, 0), "p0_eval requires k >= 0, got k=-1"),
+    "p0_eval(0, -1, 0)": (lambda: p0_eval(0, -1, 0), "p0_eval requires m >= 0, got m=-1"),
+    "p0_eval(0, 0, -1)": (lambda: p0_eval(0, 0, -1), "p0_eval requires j >= 0, got j=-1"),
     "elementary_sum_oracle(3, 1, -10**5000)": (
         lambda: elementary_sum_oracle(3, 1, -_BIG),
         f"elementary_sum_oracle requires u >= 0, got u={_MINUS_BIG}",
+    ),
+    "elementary_sum_oracle(3, -10**5000, 0)": (
+        lambda: elementary_sum_oracle(3, -_BIG, 0),
+        f"elementary_sum_oracle requires v >= 0, got v={_MINUS_BIG}",
     ),
     "elementary_sum_oracle(-10**5000, 0, 5)": (
         lambda: elementary_sum_oracle(-_BIG, 0, 5),
@@ -284,8 +316,9 @@ def test_every_check_at_least_site_has_a_refusal_row():
     messages = [message for _, message in _REFUSALS.values()]
     for caller, low, names in sites:
         caller = r"\S+" if caller is None else re.escape(caller)
-        pattern = rf"{caller} requires ({'|'.join(names)}) >= {low}, got \1="
-        assert any(re.match(pattern, message) for message in messages), f"no row for {pattern}"
+        for name in names:
+            pattern = rf"{caller} requires {name} >= {low}, got {name}="
+            assert any(re.match(pattern, message) for message in messages), f"no row for {pattern}"
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +347,13 @@ _BUDGETS = {
         [["limit", "--k", "200000", "--f", "1/3"], ["corr", "--k", "100000", "--N", "10000000", "--n", "4000000"]],
     ),
     "oracle.ENUMERATION_BUDGET": (
-        10_000_000,  # C(N, n) x (n + k): each sample costs n + k steps
-        [(100, lambda: brute_force_corr(2, 6, 3))],
+        10_000_000,  # C(N, n) x (n + k + 6): each sample costs n + k steps and about 6 more to draw it
+        [(220, lambda: brute_force_corr(2, 6, 3))],
         # C(26, 13) > 10^7; C(10^6, 5 10^5) in full took 11.7 s; C(10^7, 10^7 - 1) = 10^7 subsets of 10^7 steps
-        # each, where the time grows as N^2 (1.66 s at N = 10^4)
+        # each, where the time grows as N^2 (1.66 s at N = 10^4); 2 10^6 one-unit subsets cost 7 steps each
         [lambda: brute_force_corr(1, 10**7 + 1, 1), lambda: brute_force_corr(2, 26, 13),
-         lambda: brute_force_corr(2, 10**6, 5 * 10**5), lambda: brute_force_corr(2, 10**7, 10**7 - 1)],
+         lambda: brute_force_corr(2, 10**6, 5 * 10**5), lambda: brute_force_corr(2, 10**7, 10**7 - 1),
+         lambda: brute_force_corr(0, 2 * 10**6, 1)],
         [(oracle.itertools, "combinations")],
         [],
     ),
