@@ -6,16 +6,25 @@ rendered canonically as ``p/q`` (lowest terms, positive denominator) or bare
 ``p`` for integers, at any length, so parsing them back loses nothing.
 Decimal columns are display-only: rendered by exact integer arithmetic with
 half-to-even rounding at a configurable number of digits (the float never
-enters), and never parsed.
+enters), and never parsed.  The rounding reads only the ratio, so
+``abs_error_decimal`` is rendered from the unreduced gap |a d - c b| / (b d)
+of scaled = a/b and limit = c/d, with no gcd.
+
+A CSV line is its cells joined by commas.  A cell holding a comma, a double
+quote or a line feed is quoted, with its quotes doubled; when any data cell
+holds a carriage return, every cell of the report is quoted, since a bare
+one would split the line for most readers.  A line whose one cell is empty
+reads ``""``.  These are the bytes that ``csv.writer`` gives with
+``lineterminator="\n"`` and minimal quoting, or full quoting in the
+carriage-return case.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 
 from .correlation import CorrRecord, LimitSpec
 from .errors import DomainError, check_at_least, check_budget, int_str
@@ -51,16 +60,25 @@ def decimal_str(value: Fraction | int, digits: int) -> str:
     check_budget("decimal_str", "the digit count", digits, PRECISION_BUDGET)
     if not isinstance(value, (Fraction, int)):
         value = Fraction(value)
-    negative = value < 0
-    num, den = abs(value.numerator), value.denominator
-    scaled = num * 10**digits
-    q, r = divmod(scaled, den)
+    return _ratio_decimal(value.numerator, value.denominator, digits)
+
+
+def _ratio_decimal(num: int, den: int, digits: int) -> str:
+    """``decimal_str`` of num/den for den > 0, in or out of lowest terms."""
+    q, r = divmod(abs(num) * 10**digits, den)
     double = 2 * r
     if double > den or (double == den and q % 2 == 1):
         q += 1
     whole, frac = divmod(q, 10**digits)
-    sign = "-" if negative and q != 0 else ""
+    sign = "-" if num < 0 and q != 0 else ""
     return f"{sign}{int_str(whole)}.{int_str(frac).rjust(digits, '0')}"
+
+
+def _abs_error_gap(rec: CorrRecord) -> tuple[int, int]:
+    """|scaled - limit| as an unreduced (numerator, denominator) pair."""
+    a, b = rec.scaled.numerator, rec.scaled.denominator
+    c, d = rec.limit.numerator, rec.limit.denominator
+    return abs(a * d - c * b), b * d
 
 
 def _same(value, precision):
@@ -81,6 +99,7 @@ def _parse_rationals(cell) -> tuple[Fraction, ...]:
 INT = (_same, int)
 RATIONAL = (lambda value, precision: rational_str(value), parse_rational)
 DECIMAL = (decimal_str, None)
+_GAP_DECIMAL = (lambda gap, precision: _ratio_decimal(*gap, precision), None)
 FLOAT = (_same, float)
 BOOL = (_same, _parse_bool)
 TEXT = (_same, str)
@@ -88,20 +107,20 @@ RATIONALS = (lambda values, precision: [rational_str(v) for v in values], _parse
 
 
 def _fields(codec, names: str) -> tuple:
-    """(column, attribute, codec) for columns named after the attribute they read."""
-    return tuple((name, name, codec) for name in names.split())
+    """(column, getter, codec) for columns named after the attribute they read."""
+    return tuple((name, attrgetter(name), codec) for name in names.split())
 
 
 def _decimal(attr: str) -> tuple:
     """The display-only ``<attr>_decimal`` column."""
-    return ((f"{attr}_decimal", attr, DECIMAL),)
+    return ((f"{attr}_decimal", attrgetter(attr), DECIMAL),)
 
 
 # One field spec per record kind, in column order.
 SCHEMAS: dict[type, tuple] = {
     CorrRecord: (
         _fields(INT, "k N n") + _fields(RATIONAL, "f corr scaled") + _decimal("scaled")
-        + _fields(RATIONAL, "limit") + _decimal("abs_error")
+        + _fields(RATIONAL, "limit") + (("abs_error_decimal", _abs_error_gap, _GAP_DECIMAL),)
     ),
     LimitSpec: _fields(INT, "k") + _fields(RATIONAL, "f value") + _decimal("value") + _fields(INT, "exponent"),
     McEstimate: _fields(INT, "k N n trials seed") + _fields(FLOAT, "mean stderr"),
@@ -134,15 +153,15 @@ def row_to_obj(row, precision: int) -> dict:
     schema = SCHEMAS.get(type(row))
     if schema is None:
         raise DomainError(f"cannot serialize row of type {type(row).__name__}")
-    return {name: emit(getattr(row, attr), precision) for name, attr, (emit, _) in schema}
+    return {name: emit(get(row), precision) for name, get, (emit, _) in schema}
 
 
 def parse_row(kind: type, line_or_obj):
     """Rebuild a record of type ``kind`` from one emitted JSON line or a
     parsed CSV row dict.  Every column but the display-only decimals is read
-    back exactly."""
+    back exactly; each of those columns is named after its attribute."""
     obj = json.loads(line_or_obj) if isinstance(line_or_obj, str) else line_or_obj
-    return kind(**{attr: parse(obj[name]) for name, attr, (_, parse) in SCHEMAS[kind] if parse})
+    return kind(**{name: parse(obj[name]) for name, _, (_, parse) in SCHEMAS[kind] if parse})
 
 
 parse_corr_row = partial(parse_row, CorrRecord)
@@ -153,9 +172,10 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
     """Render rows to a complete output document.
 
     ``format`` is ``"json"`` (one JSON object per line) or ``"csv"``
-    (header plus one record per line, RFC-4180 quoting).  All rows of one
-    report must share a schema.  ``columns`` supplies the header for an
-    empty CSV report; otherwise it is taken from the first row.
+    (header plus one record per line, RFC-4180 quoting as the module
+    docstring sets out).  All rows of one report must share a schema.
+    ``columns`` supplies the header for an empty CSV report; otherwise it is
+    taken from the first row.
     """
     if format not in ("json", "csv"):
         raise DomainError(f"unknown report format: {format!r}")
@@ -178,13 +198,9 @@ def emit_report(rows, format: str, precision: int = 12, columns=None) -> str:
         raise DomainError(f"column {column!r} holds an integer past the int-to-str digit limit") from None
     if not keys:
         return ""
-    # minimal quoting leaves a lone carriage return bare, and readers split lines there
-    bare_cr = any("\r" in cell for row in cells for cell in row)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL if bare_cr else csv.QUOTE_MINIMAL)
-    writer.writerow(keys)
-    writer.writerows(cells)
-    return buf.getvalue()
+    # minimal quoting would leave a lone carriage return bare, and readers split lines there
+    quote = _quoted if any("\r" in cell for row in cells for cell in row) else _csv_field
+    return "".join((",".join(map(quote, row)) or '""') + "\n" for row in (keys, *cells))
 
 
 def _unprintable_column(objs, keys):
@@ -200,3 +216,12 @@ def _unprintable_column(objs, keys):
 
 def _csv_cell(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+def _csv_field(cell: str) -> str:
+    """A CSV cell, quoted only when it holds a comma, a double quote or a line feed."""
+    return _quoted(cell) if "," in cell or '"' in cell or "\n" in cell else cell

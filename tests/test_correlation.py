@@ -28,7 +28,7 @@ from srscorr.correlation import (
     theorem_limit,
 )
 from srscorr.errors import DomainError
-from srscorr.exactnum import binomial, falling_factorial
+from srscorr.exactnum import binomial, falling_factorial, rational_str
 from srscorr.verify import _alpha_expansion
 
 
@@ -98,6 +98,16 @@ def test_corr_exact_matches_moment_expansion_symmetry_and_alpha_table(design):
     assert value == _moment_expansion(k, N, n)
     assert value == (-1) ** k * corr_exact(k, N, N - n)
     assert value == alpha_coefficients(k).corr(N, n)
+
+
+def test_corr_exact_at_the_budget_ceiling_is_pinned():
+    # sha256 of rational_str(corr_exact(11500, 16000, 15999)), the largest
+    # `corr` design the digit budget admits, taken from the division-per-step
+    # Horner loop that the division-free one replaced
+    text = rational_str(corr_exact(11500, 16000, 15999))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2e5c4d85c399d065e391a122ad18b755d278493a04469dacd25f6c65918a385a"
+    )
 
 
 # ---------------------------------------------------------------------------

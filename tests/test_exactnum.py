@@ -67,6 +67,16 @@ def test_rational_text_has_no_digit_limit():
     assert int_str(-(10**5000)) == "-1" + "0" * 5000
 
 
+def test_parse_rational_at_150001_digits_matches_the_decimal_route():
+    # int(Decimal(...)) converts at any length in time about the square of
+    # the digits; the literal parser halves the digits instead, so compare
+    digits = "".join(str((7 * i * i + 3 * i) % 10) for i in range(150_001))
+    num = "-00" + digits[2:]  # a sign, then 150,001 digits led by zeros
+    den = "9" + digits[:4999]
+    value = parse_rational(f"{num}/{den}")
+    assert value == Fraction(int(Decimal(num)), int(Decimal(den)))
+
+
 # ---------------------------------------------------------------------------
 # binomial and falling factorial
 

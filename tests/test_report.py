@@ -256,3 +256,63 @@ def test_csv_quotes_a_report_with_a_lone_carriage_return():
     text = emit_report([result], "csv")
     assert text.splitlines()[0] == '"suite","identity","params","passed","cases","detail"'
     assert _parse_document(CheckResult, text, "csv") == [result]
+
+
+# ---------------------------------------------------------------------------
+# the direct renderings pinned to the routes they replaced
+
+
+_csv_text = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", "\t", " ", "a", "0", "é", "中"]), max_size=6)
+_check_results = st.builds(
+    CheckResult,
+    suite=_csv_text, identity=_csv_text, params=_csv_text, passed=st.booleans(), cases=_ints, detail=_csv_text,
+)
+
+
+def _csv_writer_document(objs: list[dict]) -> str:
+    """The report as ``csv.writer`` writes it: minimal quoting, or every cell
+    quoted when a data cell holds a carriage return."""
+    cells = [[v if isinstance(v, str) else json.dumps(v) for v in obj.values()] for obj in objs]
+    bare_cr = any("\r" in cell for row in cells for cell in row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL if bare_cr else csv.QUOTE_MINIMAL)
+    writer.writerow(objs[0].keys())
+    writer.writerows(cells)
+    return buf.getvalue()
+
+
+@given(st.lists(_check_results, min_size=1, max_size=4))
+@example([CheckResult(suite="", identity="", params="", passed=True, detail="")])
+@example([CheckResult(suite='a,"b"', identity="x\ny", params="é", passed=False, detail="\r")])
+def test_csv_report_equals_csv_writer(results):
+    assert emit_report(results, "csv") == _csv_writer_document([row_to_obj(r, 12) for r in results])
+
+
+@pytest.mark.parametrize("rows", [[{"a": ""}], [{"a": "", "b": ""}], [{"": "x"}], [{"a": "\r"}, {"a": ""}]])
+def test_csv_report_of_plain_dicts_equals_csv_writer(rows):
+    # csv.writer writes a line whose one cell is empty as "", so a reader sees a cell
+    assert emit_report(rows, "csv") == _csv_writer_document(rows)
+
+
+@st.composite
+def _scaled_and_limit(draw):
+    scaled = draw(st.fractions(max_denominator=10**30))
+    digits = draw(st.integers(1, 60))
+    gap = draw(
+        st.one_of(
+            st.fractions(max_denominator=10**30),
+            # an exact tie at the last digit
+            st.integers(-(10**6), 10**6).map(lambda m: Fraction(2 * m + 1, 2 * 10**digits)),
+        )
+    )
+    return scaled, scaled - gap, digits
+
+
+@given(_scaled_and_limit())
+@example((Fraction(1, 8), Fraction(0), 2))  # 0.125, a tie rounded to even
+@example((Fraction(0), Fraction(3, 8), 2))  # a negative gap, 0.375 rounded to even
+@example((Fraction(-5, 18), Fraction(-1, 4), 12))
+def test_abs_error_decimal_equals_decimal_str_of_the_reduced_gap(case):
+    scaled, limit, digits = case
+    rec = CorrRecord(k=2, N=10, n=5, f=Fraction(1, 2), corr=Fraction(0), scaled=scaled, limit=limit)
+    assert row_to_obj(rec, digits)["abs_error_decimal"] == decimal_str(rec.abs_error, digits)
