@@ -20,17 +20,11 @@ from .correlation import (
 )
 from .errors import DomainError, EnumerationBoundError, SrsCorrError
 from .exactnum import (
-    alternating_fraction_sum,
-    bernoulli,
     binomial,
     falling_factorial,
-    gamma_ratio,
     normal_moment,
     parse_rational,
     rational_str,
-    stirling_first_unsigned,
-    stirling_second,
-    sum_of_powers,
 )
 from .oracle import (
     DEFAULT_MC_SEED,
@@ -42,13 +36,9 @@ from .oracle import (
     sample_srs,
 )
 from .ppoly import (
-    Poly,
     PolyRecord,
-    elementary_sum_oracle,
-    falling_factorial_via_p0,
     p0_eval,
     p_poly,
-    weighted_prefix_poly,
 )
 from .report import decimal_str, emit_report
 from .verify import CheckResult, run_suite

@@ -4,13 +4,14 @@ A unique prefix names a flag (an exact name wins), a repeated flag keeps its
 last value, and ``-h`` or ``--help`` after the verb, or alone, prints help.
 
 Exit codes: 0 success or help; 1 usage error (an unknown verb or flag, an
-ambiguous prefix, a flag with no value or followed by another flag, a stray
-token, a malformed integer or rational literal or a value outside a flag's
-choices, a missing required flag, ``scan`` with both or neither of
-``--grid`` and ``--grid-geom``, a ``--grid`` of more than 1000 sizes, or a
-``--grid-geom`` factor not above 1 or COUNT outside 1..1000; a usage error
-repeats at most 160 characters of a value); 2 computation error (a domain
-violation, e.g. n > N or f outside (0,1), or a cost past its budget: a
+ambiguous prefix, a flag with no value or followed by a flag-like token (``-``
+then a character other than a digit or a dot), a stray token, a malformed
+integer or rational literal or a value outside a flag's choices, a missing
+required flag, ``scan`` with both or neither of ``--grid`` and
+``--grid-geom``, a ``--grid`` of more than 1000 sizes, or a ``--grid-geom``
+factor not above 1 or COUNT outside 1..1000; a usage error repeats at most
+160 characters of a value); 2 computation error (a domain violation, e.g.
+n > N, or f outside (0,1) as in ``--f -1/3``, or a cost past its budget: a
 result's digits, ``--precision``, a Monte Carlo run's lane-steps, a ppoly
 level's additions, the limb products that build a ``--grid-geom`` or a
 whole scan's digits, each refused before the work with one
@@ -169,7 +170,7 @@ _VERBS = {
                lambda ns: run_suite(ns.suite, ns.max_k)),
 }
 
-_FLAG_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$).").match  # not a value: '-' and more, not a negative number
+_FLAG_LIKE = re.compile(r"-[^\d.]").match  # not a value: '-' then a character other than a digit or a dot
 
 
 def _flag(token: str, flags) -> str | None:

@@ -55,14 +55,12 @@ def test_public_names_are_pinned():
     # A removal or addition must be made here explicitly.
     assert sorted(srscorr.__all__) == [
         "AlphaTable", "CheckResult", "CorrRecord", "DEFAULT_MC_SEED", "DomainError",
-        "EnumerationBoundError", "LimitSpec", "McEstimate", "Poly", "PolyRecord", "SplitMix64",
-        "SrsCorrError", "alpha_coefficients", "alternating_fraction_sum", "bernoulli",
-        "binomial", "brute_force_corr", "coefficient_limit", "convergence_scan", "corr_exact",
-        "decimal_str", "elementary_sum_oracle", "emit_report", "evaluate_correlation",
-        "falling_factorial", "falling_factorial_via_p0", "gamma_ratio", "hypergeom_inclusion_prob",
-        "limit_spec", "monte_carlo_corr", "normal_moment", "p0_eval", "p_poly", "parity_exponent",
-        "parse_rational", "rational_str", "run_suite", "sample_srs", "stirling_first_unsigned",
-        "stirling_second", "sum_of_powers", "theorem_limit", "weighted_prefix_poly",
+        "EnumerationBoundError", "LimitSpec", "McEstimate", "PolyRecord", "SplitMix64",
+        "SrsCorrError", "alpha_coefficients", "binomial", "brute_force_corr", "coefficient_limit",
+        "convergence_scan", "corr_exact", "decimal_str", "emit_report", "evaluate_correlation",
+        "falling_factorial", "hypergeom_inclusion_prob", "limit_spec", "monte_carlo_corr",
+        "normal_moment", "p0_eval", "p_poly", "parity_exponent", "parse_rational", "rational_str",
+        "run_suite", "sample_srs", "theorem_limit",
     ]
 
 

@@ -399,8 +399,10 @@ def test_computation_errors_exit_2(capsys):
         ["corr", "--k", "2", "--N", "10", "--n", "11"],  # n > N
         ["corr", "--k", "2", "--N", "10", "--n", "0"],  # no limit at f = 0
         ["limit", "--k", "2", "--f", "7/5"],  # fraction outside (0,1)
+        ["limit", "--k", "2", "--f", "-1/3"],  # a negative value after a space is a value, not a flag
         ["scan", "--k", "1", "--f", "1/2", "--grid", "10,20"],  # order below 2
         ["scan", "--k", "2", "--f", "1/2", "--grid", "20,10"],  # non-ascending grid
+        ["scan", "--k", "2", "--f", "1/2", "--grid", "-1,3"],  # a negative size
         ["scan", "--k", "2", "--f", "1/100", "--grid", "10"],  # every grid point rounds to n = 0: no record
         ["mc", "--k", "2", "--N", "10", "--n", "5", "--trials", "0"],
         ["mc", "--k", "3", "--N", "100", "--n", "50", "--trials", "100000000000"],  # past the Monte Carlo budget
@@ -419,7 +421,7 @@ _INTS = st.integers(-1, 60).map(str)
 # The widest int that argv parses has 4300 digits, and a rational literal has no digit limit.
 _K, _N, _M, _Z = "9" * 4299, "9" * 4300, "9" * 2200, "1" + "0" * 5000
 _ORDERS = st.one_of(_INTS, st.sampled_from(["200000", _K]))
-_RATIONALS = st.sampled_from(["0", "1", "1/100", "1/3", "2/5", "7/5", "0.5", "1/0", "p/q", _Z, f"1/{_Z}"])
+_RATIONALS = st.sampled_from(["0", "1", "1/100", "1/3", "-1/3", "2/5", "7/5", "0.5", "1/0", "p/q", _Z, f"1/{_Z}"])
 _SIZES = st.lists(st.integers(-1, 60), max_size=5)
 _GRID = st.one_of(_SIZES, _SIZES.map(sorted), st.just(list(range(2, 1003)))).map(
     lambda sizes: ",".join(map(str, sizes))
@@ -468,7 +470,7 @@ def _argvs(draw):
     for flag in draw(st.permutations(flags)):
         value = draw(pools[flag])
         # joined only when the two-token spelling reads the value as a value, not a flag
-        if not value.startswith("-") and draw(st.booleans()):
+        if not cli._FLAG_LIKE(value) and draw(st.booleans()):
             argv.append(f"{flag}={value}")
         else:
             argv += [flag, value]
