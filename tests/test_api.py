@@ -64,6 +64,20 @@ def test_public_names_are_pinned():
     ]
 
 
+def test_proof_kernels_are_imported_from_their_modules_only():
+    # verify, the demos and the tests reach these through their modules, not the package
+    kernels = {
+        srscorr.exactnum: ["alternating_fraction_sum", "bernoulli", "gamma_ratio", "stirling_first_unsigned",
+                           "stirling_second", "sum_of_powers"],
+        ppoly: ["Poly", "elementary_sum_oracle", "falling_factorial_via_p0", "weighted_prefix_poly"],
+    }
+    for module, names in kernels.items():
+        for name in names:
+            assert callable(getattr(module, name)), name
+            assert not hasattr(srscorr, name), name
+    assert type(p_poly(2, 1)) is Poly
+
+
 _DESIGN_FUNCTIONS = {
     "AlphaTable.corr": lambda k, N, n: alpha_coefficients(k).corr(N, n),
     "brute_force_corr": brute_force_corr,

@@ -394,6 +394,13 @@ def test_flag_spellings_give_the_same_record(capsys):
         assert run_cli(capsys, *argv) == (0, _CORR_2_10_5, ""), argv
 
 
+def test_a_token_is_a_flag_only_when_a_non_digit_follows_its_dash():
+    for token in ("--k", "--f", "-h", "-x", "--"):
+        assert cli._FLAG_LIKE(token), token
+    for token in ("-1/3", "-5,10", "-7:3/2:5", "-.5", "-", "1/3", ""):
+        assert not cli._FLAG_LIKE(token), token
+
+
 def test_computation_errors_exit_2(capsys):
     bad_argvs = [
         ["corr", "--k", "2", "--N", "10", "--n", "11"],  # n > N
