@@ -40,12 +40,22 @@ from .ppoly import (
     p0_eval,
     p_poly,
 )
-from .report import decimal_str, emit_report
-from .verify import CheckResult, run_suite
+from .report import CheckResult, decimal_str, emit_report
 
 __version__ = "0.1.0"
 
-# The public API is exactly the names imported above.
+# The public API is exactly the names imported above, and run_suite.
 __all__ = sorted(
-    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + ["run_suite"]
 )
+
+
+def __getattr__(name: str):
+    # verify is loaded on first use: of every verb only ``srscorr verify`` needs it
+    if name == "run_suite":
+        from .verify import run_suite
+
+        globals()[name] = run_suite
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,6 +26,7 @@ rejected, so no result silently inherits binary rounding.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -38,7 +39,6 @@ from .exactnum import parse_rational
 from .oracle import DEFAULT_MC_SEED, monte_carlo_corr
 from .ppoly import PolyRecord, p_poly
 from .report import emit_report
-from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["run", "main"]
 
@@ -117,6 +117,19 @@ def _choice(*options: str):
     return convert
 
 
+def _suite_names() -> tuple[str, ...]:
+    from .verify import SUITE_NAMES
+
+    return SUITE_NAMES
+
+
+def run_suite(name: str, max_k: int | None):
+    """``verify.run_suite``.  verify is loaded only when its verb parses --suite, prints its help or runs."""
+    from .verify import run_suite
+
+    return run_suite(name, max_k)
+
+
 def _cut(text: str) -> str:
     """``text``, cut past _CUT_AT characters."""
     return text if len(text) <= _CUT_AT else text[:_CUT_AT] + "..."
@@ -134,8 +147,9 @@ def _ppoly(ns) -> list[PolyRecord]:
     return [PolyRecord(k=ns.k, m=ns.m, degree=poly.degree, coefficients=poly.coeffs)]
 
 
-# A flag is name -> (converter, default, help).  A flag whose default is
-# _REQUIRED must be given, and exactly one of a verb's _ONE_OF flags must be.
+# A flag is name -> (converter, default, help), and a help that is callable is
+# called when help is printed.  A flag whose default is _REQUIRED must be
+# given, and exactly one of a verb's _ONE_OF flags must be.
 _REQUIRED, _ONE_OF = object(), object()
 _K, _N = (int, _REQUIRED, "correlation order"), (int, _REQUIRED, "population size")
 _COMMON = {
@@ -165,7 +179,8 @@ _VERBS = {
     "ppoly": ("recursion polynomial coefficients",
               {"k": _K, "m": (int, _REQUIRED, "recursion level, m >= 0 (degree 2m)")}, _ppoly),
     "verify": ("run identity/invariant suites",
-               {"suite": (_choice(*SUITE_NAMES, "all"), "all", f"{', '.join(SUITE_NAMES)} or all"),
+               {"suite": (lambda text: _choice(*_suite_names(), "all")(text), "all",
+                          lambda: f"{', '.join(_suite_names())} or all"),
                 "max-k": (int, None, "cap each check's range; a check capped below its lower bound fails")},
                lambda ns: run_suite(ns.suite, ns.max_k)),
 }
@@ -193,7 +208,7 @@ def _help(verb: str | None) -> None:
     print(f"usage: srscorr {verb} [--FLAG VALUE ...]\n\n{text}\n\nflags:")
     for name, (_, default, line) in {**flags, **_COMMON}.items():
         note = {_REQUIRED: " (required)", _ONE_OF: "", None: ""}.get(default, f" (default {default})")
-        print(f"  {'--' + name:<13}{line}{note}")
+        print(f"  {'--' + name:<13}{line() if callable(line) else line}{note}")
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
@@ -261,7 +276,7 @@ def run(argv) -> int:
         os.close(devnull)
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 2
-    if ns.out:
+    if ns.out is not None:
         try:
             with open(ns.out, "wb") as sink:
                 sink.write(text.encode("utf-8"))
@@ -272,7 +287,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console script: ``run`` on the process's argv, then exit with its code.
+
+    The garbage collector is frozen before the exit, so the full collections
+    of interpreter shutdown skip the ~20k objects that numpy and the standard
+    library left tracked (a few tens of ms per process); atexit handlers,
+    stream flushes and module teardown still run.  ``run`` itself, which
+    in-process callers use, leaves the collector alone."""
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ carriage-return case.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
@@ -31,9 +32,9 @@ from .errors import DomainError, check_at_least, check_budget, int_str
 from .exactnum import parse_rational, rational_str
 from .oracle import McEstimate
 from .ppoly import PolyRecord
-from .verify import CheckResult
 
 __all__ = [
+    "CheckResult",
     "decimal_str",
     "PRECISION_BUDGET",
     "row_to_obj",
@@ -114,6 +115,19 @@ def _fields(codec, names: str) -> tuple:
 def _decimal(attr: str) -> tuple:
     """The display-only ``<attr>_decimal`` column."""
     return ((f"{attr}_decimal", attrgetter(attr), DECIMAL),)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one named identity check of ``srscorr.verify``: it passed if
+    it made ``cases > 0`` comparisons and none of them failed."""
+
+    suite: str
+    identity: str
+    params: str
+    passed: bool
+    cases: int = 0
+    detail: str = ""
 
 
 # One field spec per record kind, in column order.

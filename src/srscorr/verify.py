@@ -65,24 +65,12 @@ from .ppoly import (
     p_poly,
     weighted_prefix_poly,
 )
+from .report import CheckResult
 
 __all__ = ["CHECKS", "Check", "CheckResult", "SUITE_NAMES", "run_suite"]
 
 #: beta (or beta/gamma) values exercised by the Gamma-ratio identities.
 _BETA_LATTICE = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one named identity check: it passed if it made ``cases > 0``
-    comparisons and none of them failed."""
-
-    suite: str
-    identity: str
-    params: str
-    passed: bool
-    cases: int = 0
-    detail: str = ""
 
 
 class _Recorder:

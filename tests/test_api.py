@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 import srscorr
-from srscorr import cli, correlation, oracle, ppoly, report
+from srscorr import cli, correlation, oracle, ppoly, report, verify
 from srscorr.correlation import (
     alpha_coefficients,
     coefficient_limit,
@@ -62,6 +62,19 @@ def test_public_names_are_pinned():
         "normal_moment", "p0_eval", "p_poly", "parity_exponent", "parse_rational", "rational_str",
         "run_suite", "sample_srs", "theorem_limit",
     ]
+
+
+def test_run_suite_and_check_result_are_the_verify_objects():
+    # the package resolves run_suite on first access; CheckResult lives in report and verify re-exports it
+    assert srscorr.run_suite is verify.run_suite
+    assert srscorr.CheckResult is verify.CheckResult
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from srscorr import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == sorted(srscorr.__all__)
+    assert len(srscorr.__all__) == 33
 
 
 def test_proof_kernels_are_imported_from_their_modules_only():

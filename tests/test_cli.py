@@ -198,10 +198,11 @@ def test_csv_out_is_rfc4180_parseable(tmp_path, capsys):
     assert all(row[3] == "true" for row in rows[1:])
 
 
-@pytest.mark.parametrize("target", [".", "missing/x"], ids=["a directory", "a missing parent"])
+@pytest.mark.parametrize("target", [".", "missing/x", ""], ids=["a directory", "a missing parent", "an empty path"])
 def test_unwritable_out_exits_2_with_one_line(target, tmp_path):
+    out = str(tmp_path / target) if target else target  # tmp_path / "" is the directory itself
     proc = subprocess.run(
-        [sys.executable, "-m", "srscorr", "corr", "--k", "2", "--N", "10", "--n", "5", "--out", str(tmp_path / target)],
+        [sys.executable, "-m", "srscorr", "corr", "--k", "2", "--N", "10", "--n", "5", "--out", out],
         capture_output=True,
         text=True,
     )
@@ -543,23 +544,51 @@ def test_mc_population_beyond_64_bits_exits_2(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_console_script_is_installed():
+_CONSOLE_RUNS = {
+    "limit": ["limit", "--k", "2", "--f", "1/2"],
+    "corr": ["corr", "--k", "3", "--N", "20", "--n", "7"],
+    "scan": ["scan", "--k", "2", "--f", "1/3", "--grid", "30,60,90"],
+    "ppoly": ["ppoly", "--k", "4", "--m", "2"],
+    "mc": ["mc", "--k", "2", "--N", "10", "--n", "5", "--trials", "1000"],
+    "verify": ["verify", "--max-k", "2"],
+    "out": ["corr", "--k", "4", "--N", "30", "--n", "12", "--format", "csv", "--out"],
+}
+
+
+@pytest.mark.parametrize("case", list(_CONSOLE_RUNS))
+def test_console_script_is_installed(case, tmp_path, capsys):
+    """Each verb as its own process under ``-X dev -W error``: a warning raised
+    at any point, shutdown included (an unclosed file's ResourceWarning, an
+    "Exception ignored" message), would reach stderr."""
+    argv = _CONSOLE_RUNS[case] + ([str(tmp_path / "report.csv")] if case == "out" else [])
     proc = subprocess.run(
-        [sys.executable, "-m", "srscorr", "limit", "--k", "2", "--f", "1/2"],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "srscorr", *argv],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["value"] == "-1/4"
+    assert proc.stderr == ""
+    if case == "limit":
+        assert json.loads(proc.stdout)["value"] == "-1/4"
+    if case == "out":
+        assert (tmp_path / "report.csv").read_bytes() == proc.stdout.encode("utf-8")
+    assert proc.stdout == run_cli(capsys, *argv)[1]
 
 
-def test_import_loads_no_argparse():
+@pytest.mark.parametrize("module", ["srscorr", "srscorr.cli"])
+def test_import_loads_no_argparse(module):
     """The CLI parses argv from its verb table, so importing it loads none of
-    argparse or the gettext and locale modules that argparse pulls in."""
+    argparse or the gettext and locale modules that argparse pulls in; nor
+    does it load ``srscorr.verify``, which only the verify verb needs.  numpy
+    is still loaded by the import, so a benchmark worker pays for it before
+    its first op."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    probe = "import sys, srscorr.cli; print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    probe = (
+        f"import sys, {module}; "
+        "print(sorted({'argparse', 'gettext', 'locale', 'srscorr.verify'} & set(sys.modules)), 'numpy' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] True\n"
